@@ -157,7 +157,7 @@ def run_block_workload(
                 op_blocks = write_blocks
 
             tracker = env.all_of(events)
-            env.process(watch(issued_at, len(events), op_blocks, tracker))
+            env.spawn(watch(issued_at, len(events), op_blocks, tracker))
             inflight.append(tracker)
             while len(inflight) >= max(1, queue_depth // max(1, batch)):
                 yield env.any_of(inflight)

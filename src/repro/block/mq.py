@@ -291,7 +291,7 @@ class BlockLayer:
                             qp=request.qp_index)
         done = yield from self.driver.submit(core, ns, request)
         self.requests_dispatched += 1
-        self.env.process(self._complete_when_done(done, request))
+        self.env.spawn(self._complete_when_done(done, request))
 
     def _complete_when_done(self, done: Event, request: BlockRequest):
         cmd = yield done

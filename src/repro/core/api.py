@@ -172,7 +172,7 @@ class RioDevice:
             # every volatile member (see _fsync_fanout).
             gate = Event(self.env)
             gate.bio = bio
-            self.env.process(
+            self.env.spawn(
                 self._fsync_fanout(core, bio.stream_id, release, gate)
             )
             return gate

@@ -153,7 +153,7 @@ class RioSequencer:
         app_event.bio = bio  # error/status visibility for callers
         group.app_events.append(app_event)
         raw = bio.make_completion(self.env)
-        self.env.process(self._watch_completion(stream, group, raw))
+        self.env.spawn(self._watch_completion(stream, group, raw))
 
         if kick is None:
             kick = end_of_group

@@ -239,7 +239,7 @@ def _run_status_loop(
             )
             events = [done]
             tracker = env.all_of(events)
-            env.process(watch(tenant, arrival, events, tracker))
+            env.spawn(watch(tenant, arrival, events, tracker))
             inflight.append(tracker)
             while len(inflight) >= OPEN_LOOP_INFLIGHT_CAP:
                 yield env.any_of(inflight)

@@ -366,7 +366,7 @@ class NvmeSsd:
             # the size-dependent data fetch can scramble arrival order).
             if getattr(io, "_barrier_ticket", None) is None:
                 io._barrier_ticket = self.reserve_barrier_ticket()  # type: ignore[attr-defined]
-        self.env.process(self._serve(io, done, self._epoch))
+        self.env.spawn(self._serve(io, done, self._epoch))
         return done
 
     def reserve_barrier_ticket(self) -> int:

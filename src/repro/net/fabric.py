@@ -130,7 +130,7 @@ class QpEndpoint:
             self.env.trace("fault", "corrupt_discard", qp=self.qp.index,
                            side=self.side, msg=message.kind)
             return
-        self.env.process(self._handler(message))
+        self.env.spawn(self._handler(message))
 
 
 class QueuePair:

@@ -563,7 +563,7 @@ class InitiatorDriver:
                 f"target={ns.target.name} qp={endpoint.qp.index}",
             )
         if cfg.command_timeout is not None:
-            self.env.process(self._command_watchdog(entry))
+            self.env.spawn(self._command_watchdog(entry))
         return done
 
     def command_from_request(
@@ -623,7 +623,7 @@ class InitiatorDriver:
                 waiter, f"rpc {kind} id={rpc_id} qp={endpoint.qp.index}"
             )
         if cfg.rpc_timeout is not None:
-            self.env.process(self._rpc_watchdog(entry))
+            self.env.spawn(self._rpc_watchdog(entry))
         return waiter
 
     # ------------------------------------------------------------------

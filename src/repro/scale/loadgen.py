@@ -268,7 +268,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
                 nblocks=blocks[tenant],
             )
             tracker = env.all_of(events)
-            env.process(watch(arrival, nops, tracker, who))
+            env.spawn(watch(arrival, nops, tracker, who))
             inflight.append(tracker)
             while len(inflight) >= OPEN_LOOP_INFLIGHT_CAP:
                 yield env.any_of(inflight)
@@ -328,7 +328,7 @@ def run_closed_loop(cluster, stack, config: ClosedLoopConfig,
                 stack, core, tenant, next_lba, config, tenant=who
             )
             tracker = env.all_of(events)
-            env.process(watch(issued_at, nops, tracker, who))
+            env.spawn(watch(issued_at, nops, tracker, who))
             inflight.append(tracker)
             while len(inflight) >= config.queue_depth:
                 head = inflight.pop(0)

@@ -37,6 +37,7 @@ from typing import List, Optional
 
 from repro.sim.engine import (
     _CANCELLED,
+    _GRANTED,
     _PENDING,
     _PROCESSED,
     _RESUME,
@@ -290,7 +291,11 @@ class CalendarEnvironment(Environment):
                         self._active_process = None
                         raise
                     self._active_process = None
-                    if isinstance(target, Event):
+                    if target is _GRANTED:
+                        # Uncontended grant: continue in-step, exactly
+                        # as Process._step does on the heap engine.
+                        proc._step()
+                    elif isinstance(target, Event):
                         if target._state != _PROCESSED:
                             proc._waiting_on = target
                             target.callbacks.append(cb)

@@ -38,11 +38,23 @@ speed:
   object in the simulator;
 * :meth:`Environment.run` inlines the pop-advance-dispatch loop (what
   :meth:`Environment.step` does once) with the heap and ``heappop`` bound
-  to locals, and only swaps an event's callback list when it is non-empty.
+  to locals, and only swaps an event's callback list when it is non-empty;
+* an uncontended ``Resource.request()`` (and an accepted ``Store.put``)
+  returns the shared, already-processed ``_GRANTED`` marker, and
+  :meth:`Process._step` continues the generator in the same step when it
+  is yielded: no event, no heap entry, no event id.  This is why a
+  request must be yielded *immediately*: the slot is held from the call;
+* :meth:`Environment.spawn` starts a process nobody can wait on, whose end
+  pushes no completion entry (an exception still propagates out of
+  :meth:`Environment.run`).
 
-The observable semantics are identical to the straightforward
-implementation; ``tests/sim/test_engine.py`` and the serial-vs-parallel
-bit-identity test in ``tests/harness/test_sweep.py`` pin that down.
+An in-step continuation runs before same-timestamp events already queued,
+where the dropped hop ran after them.  Exactness is therefore verified, not
+proven: every golden, figure table, check verdict and
+``perfbench/references.json`` digest is the test; a moved digest means the
+fast path must narrow.  ``tests/sim/test_engine.py``,
+``tests/sim/test_fast_paths.py`` and ``tests/harness/test_sweep.py`` pin
+the semantics down.
 """
 
 from __future__ import annotations
@@ -177,6 +189,13 @@ class Event:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x} state={self._state}>"
+
+
+#: The shared granted marker (see the performance notes above).  Its
+#: callback list is a tuple, so registering on it fails loudly.
+_GRANTED = Event(None)
+_GRANTED.callbacks = ()
+_GRANTED._state = _PROCESSED
 
 
 class Timeout(Event):
@@ -338,12 +357,18 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._state != _PENDING:
             raise SimulationError("cannot interrupt a finished process")
-        if self._waiting_on is not None:
+        target = self._waiting_on
+        if target is not None:
             try:
-                self._waiting_on.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
             self._waiting_on = None
+            # A queued resource request leaves its queue; one whose grant
+            # already fired hands the slot back (see resources._Grant).
+            abandon = getattr(target, "_abandon", None)
+            if abandon is not None:
+                abandon()
         pending = self._pending_resume
         if pending is not None:
             # The process was interrupted inside the processed-target
@@ -396,6 +421,10 @@ class Process(Event):
                 env._active_process = None
                 raise
             env._active_process = None
+            if target is _GRANTED:
+                # Uncontended grant: continue in the same step.
+                send = throw = None
+                continue
             if isinstance(target, Event):
                 break
             # Non-event yield: throw into the generator and loop, so a
@@ -405,7 +434,12 @@ class Process(Event):
             # can leak out of callback dispatch.
             send = None
             throw = TypeError(f"process yielded a non-event: {target!r}")
-        self._wait_for(target)
+        if target._state == _PROCESSED:
+            self._wait_for(target)
+        else:
+            # The common case of _wait_for, inlined: park on the target.
+            self._waiting_on = target
+            target.callbacks.append(self._resume)
 
     def _wait_for(self, target: Event) -> None:
         """Park the process on ``target`` (the tail half of a step)."""
@@ -424,6 +458,18 @@ class Process(Event):
             # liveness-watch the waiter to turn that into SimDeadlock).
             self._waiting_on = target
             target.callbacks.append(self._resume)
+
+
+class _Detached(Process):
+    """A process whose end pushes no completion entry (see
+    :meth:`Environment.spawn`)."""
+
+    __slots__ = ()
+
+    def succeed(self, value: Any = None) -> "Event":
+        self._state = _PROCESSED
+        self._value = value
+        return self
 
 
 #: The unbound resume function, so batched dispatchers (repro.sim.calendar)
@@ -488,6 +534,15 @@ class Environment:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
+
+    def spawn(self, generator: Generator) -> None:
+        """Start a fire-and-forget process.
+
+        Returns nothing, so nobody can wait on it, and its end schedules
+        nothing.  An exception it raises still propagates out of
+        :meth:`run`, exactly as from :meth:`process`.
+        """
+        _Detached(self, generator)
 
     def all_of(self, events: Iterable[Event]) -> Condition:
         return Condition(self, events, _all_fired)

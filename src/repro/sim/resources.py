@@ -10,7 +10,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import (
+    _GRANTED,
+    _TRIGGERED,
+    Environment,
+    Event,
+    SimulationError,
+)
 
 __all__ = ["Store", "Resource"]
 
@@ -18,9 +24,10 @@ __all__ = ["Store", "Resource"]
 class Store:
     """An unbounded (or bounded) FIFO channel between processes.
 
-    ``put(item)`` returns an event that fires once the item is accepted
-    (immediately unless the store is bounded and full).  ``get()`` returns an
-    event that fires with the oldest item once one is available.
+    ``put(item)`` returns an event that fires once the item is accepted;
+    an item accepted at once gets the already-processed granted marker, so
+    it schedules nothing.  ``get()`` returns an event that fires with the
+    oldest item once one is available.
     """
 
     def __init__(self, env: Environment, capacity: Optional[int] = None):
@@ -41,18 +48,16 @@ class Store:
         return tuple(self._items)
 
     def put(self, item: Any) -> Event:
-        event = Event(self.env)
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
+            self._getters.popleft().succeed(item)
+            return _GRANTED
+        if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
-            event.succeed()
-        else:
-            event._blocked_item = item  # type: ignore[attr-defined]
-            self._putters.append(event)
+            return _GRANTED
+        event = Event(self.env)
+        event._blocked_item = item  # type: ignore[attr-defined]
+        self._putters.append(event)
         return event
 
     def get(self) -> Event:
@@ -79,6 +84,23 @@ class Store:
             putter = self._putters.popleft()
             self._items.append(putter._blocked_item)  # type: ignore[attr-defined]
             putter.succeed()
+
+
+class _Grant(Event):
+    """A queued request: fires when :meth:`Resource.release` hands it the
+    slot."""
+
+    __slots__ = ("resource",)
+
+    def _abandon(self) -> None:
+        """Called by ``Process.interrupt`` on the waiter it detaches.  A
+        still-queued request leaves the queue; a grant that already fired
+        (release at this same timestamp, before the waiter resumed) gives
+        its slot straight back instead of leaking it."""
+        if self._state == _TRIGGERED:
+            self.resource.release()
+        else:
+            self.resource._waiters.remove(self)
 
 
 class Resource:
@@ -108,30 +130,27 @@ class Resource:
     def request(self) -> Event:
         """Request a slot; yield the returned event *immediately*.
 
-        Abandoned waiters (e.g. interrupted processes) are detected by
-        having no registered callbacks at grant time, so an event parked
-        un-yielded across other waits would be mistaken for abandoned.
+        A free slot is taken at once and the shared granted marker is
+        returned: the yielding process continues in the same step, with
+        no event scheduled, so the slot is held from this call.  Otherwise
+        the request queues FIFO; interrupting the waiting process takes it
+        out of the queue (or hands back a grant that already fired).
         """
-        event = Event(self.env)
         if self._in_use < self.capacity:
             self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
+            return _GRANTED
+        event = _Grant(self.env)
+        event.resource = self
+        self._waiters.append(event)
         return event
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError("release() without a matching request()")
-        # Grant the slot to the oldest waiter that is still listening.
-        # A waiter whose process was interrupted has no callbacks left —
-        # granting to it would leak the slot forever.
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.callbacks:
-                waiter.succeed()
-                return
-        self._in_use -= 1
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._in_use -= 1
 
     def acquire(self):
         """Generator helper: ``yield from resource.acquire()``."""

@@ -172,7 +172,7 @@ class HoraeStack(OrderedStack):
             control_done = Event(self.env)
             stream.control_tail = control_done
             stream.epoch += 1
-            self.env.process(
+            self.env.spawn(
                 self._run_group(
                     core, bio.stream_id, stream.epoch, bios, events,
                     predecessor, control_done,

@@ -88,7 +88,7 @@ class LinuxOrderedStack(OrderedStack):
             predecessor = chain.chain_tail
             group_done = Event(self.env)
             chain.chain_tail = group_done
-            self.env.process(
+            self.env.spawn(
                 self._run_group(core, bios, events, predecessor, group_done)
             )
         return event

@@ -289,6 +289,19 @@ def test_saturation_cell_bit_identical_to_heap():
     assert heap_cell == calendar_cell
 
 
+def test_loaded_saturation_cell_bit_identical_to_heap():
+    # A full-size cell at 400 kIOPS on two initiators: thousands of
+    # contended and uncontended core, NIC and SSD grants, so the calendar
+    # engine's inlined resume must continue in-step on the granted marker
+    # exactly where the heap engine does.
+    from repro.harness.saturate import probe_saturation
+
+    heap_cell = probe_saturation("rio", "optane", 400.0, engine="heap")
+    calendar_cell = probe_saturation("rio", "optane", 400.0,
+                                     engine="calendar")
+    assert heap_cell == calendar_cell
+
+
 def test_unknown_engine_rejected():
     from repro.harness.saturate import probe_saturation
 

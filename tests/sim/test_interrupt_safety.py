@@ -76,9 +76,53 @@ def test_interrupt_removes_stale_resource_waiter():
     env.process(interrupter(env))
     env.run()
     assert "impatient gave up" in log
-    # Known kernel semantics: the interrupted waiter's slot is still
-    # granted first (its event fires into a dead process), and the next
-    # waiter gets the following release.  Document: the patient process
-    # must eventually run.
+    # The interrupted waiter is skipped at grant time (it has no callbacks
+    # left), so the patient process gets the holder's release.
     got = [entry for entry in log if entry and entry[0] == "patient got it"]
     assert got, f"patient process starved: {log}"
+
+
+def test_interrupt_after_grant_fired_gives_the_slot_back():
+    """The holder's release at t=10 fires the queued grant, and the waiter
+    is interrupted at that same timestamp before the grant pops.  The
+    fired grant must go back to the resource: otherwise the slot stays
+    held forever and every later waiter starves."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    log = []
+
+    def holder(env):
+        yield resource.request()
+        yield env.timeout(10.0)
+        resource.release()
+
+    def victim(env):
+        try:
+            yield resource.request()
+            log.append("victim got it")
+            resource.release()
+        except Interrupt:
+            log.append(("victim interrupted", env.now))
+
+    def late(env):
+        yield env.timeout(1.0)
+        yield resource.request()
+        log.append(("late got it", env.now))
+        resource.release()
+
+    env.process(holder(env))
+    victim_proc = env.process(victim(env))
+    env.process(late(env))
+
+    def interrupter(env):
+        # Two hops, so this t=10 wakeup is scheduled after the holder's.
+        yield env.timeout(1.0)
+        yield env.timeout(9.0)
+        victim_proc.interrupt()
+
+    env.process(interrupter(env))
+    env.run()
+    assert ("victim interrupted", 10.0) in log
+    assert "victim got it" not in log
+    assert ("late got it", 10.0) in log
+    assert resource.in_use == 0 and resource.queued == 0
