@@ -29,10 +29,9 @@ a callback.  The implementation therefore trades a little uniformity for
 speed:
 
 * every event class declares ``__slots__`` (no per-instance dict; faster
-  attribute access and much less allocator pressure).  The ``bio`` and
-  ``_blocked_item`` slots exist so higher layers (the ordered stacks and
-  :mod:`repro.sim.resources`) can annotate events without re-introducing a
-  ``__dict__``;
+  attribute access and much less allocator pressure).  The ``bio`` slot
+  exists so higher layers (the ordered stacks) can annotate events without
+  re-introducing a ``__dict__``;
 * :class:`Timeout` bypasses ``Event.__init__``/``succeed`` and schedules
   itself with one direct ``heappush`` — it is the single most-allocated
   object in the simulator;
@@ -119,9 +118,8 @@ class Event:
         "_state",
         "_ok",
         "_value",
-        # Annotation slots for higher layers (see module docstring).
+        # Annotation slot for higher layers (see module docstring).
         "bio",
-        "_blocked_item",
     )
 
     def __init__(self, env: "Environment"):
@@ -218,12 +216,7 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self.delay = delay
-        if env._buckets is None:
-            heappush(env._heap, (env._now + delay, next(env._eid), self))
-        else:
-            # Calendar scheduler (repro.sim.calendar): exact-timestamp
-            # buckets instead of one heap entry per timeout.
-            env._bucket_insert(self, env._now + delay)
+        heappush(env._heap, (env._now + delay, next(env._eid), self))
 
     def cancel(self) -> None:
         """Disarm a timeout that lost a race (e.g. the other arm of an
@@ -472,20 +465,8 @@ class _Detached(Process):
         return self
 
 
-#: The unbound resume function, so batched dispatchers (repro.sim.calendar)
-#: can recognize "this event's sole callback resumes a process" and inline
-#: the generator step without the _resume/_step call frames.
-_RESUME = Process._resume
-
-
 class Environment:
     """The simulation clock plus the pending-event heap."""
-
-    #: Calendar-scheduler hook: None on the heap engine.  When a subclass
-    #: (repro.sim.calendar.CalendarEnvironment) sets an instance dict here,
-    #: ``Timeout.__init__`` routes through ``_bucket_insert`` instead of
-    #: pushing a heap entry.
-    _buckets = None
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -589,8 +570,7 @@ class Environment:
         heappush(self._heap, (self._now + delay, next(self._eid), event))
 
     def _note_cancelled(self) -> None:
-        """Account one newly-dead scheduled entry; compact when they pile
-        up.  Subclasses with extra scheduling structures override this."""
+        """Account one newly-dead heap entry; compact when they pile up."""
         self._cancelled += 1
         if self._cancelled > 64 and self._cancelled * 2 > len(self._heap):
             self._compact_heap()

@@ -27,7 +27,9 @@ class Store:
     ``put(item)`` returns an event that fires once the item is accepted;
     an item accepted at once gets the already-processed granted marker, so
     it schedules nothing.  ``get()`` returns an event that fires with the
-    oldest item once one is available.
+    oldest item once one is available.  Interrupting a process blocked on
+    either takes its event out of the store (see :class:`_Getter` and
+    :class:`_Putter`), so no item is lost or admitted on its behalf.
     """
 
     def __init__(self, env: Environment, capacity: Optional[int] = None):
@@ -36,8 +38,8 @@ class Store:
         self.env = env
         self.capacity = capacity
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()  # events carrying blocked items
+        self._getters: Deque[_Getter] = deque()
+        self._putters: Deque[_Putter] = deque()  # events carrying blocked items
 
     def __len__(self) -> int:
         return len(self._items)
@@ -55,13 +57,15 @@ class Store:
         if self.capacity is None or len(self._items) < self.capacity:
             self._items.append(item)
             return _GRANTED
-        event = Event(self.env)
-        event._blocked_item = item  # type: ignore[attr-defined]
+        event = _Putter(self.env)
+        event.store = self
+        event.item = item
         self._putters.append(event)
         return event
 
     def get(self) -> Event:
-        event = Event(self.env)
+        event = _Getter(self.env)
+        event.store = self
         if self._items:
             event.succeed(self._items.popleft())
             self._admit_blocked_putter()
@@ -82,8 +86,42 @@ class Store:
             self.capacity is None or len(self._items) < self.capacity
         ):
             putter = self._putters.popleft()
-            self._items.append(putter._blocked_item)  # type: ignore[attr-defined]
+            self._items.append(putter.item)
             putter.succeed()
+
+
+class _Getter(Event):
+    """A ``Store.get()`` event: fires with the item it is handed."""
+
+    __slots__ = ("store",)
+
+    def _abandon(self) -> None:
+        """Called by ``Process.interrupt`` on the waiter it detaches.  A
+        still-queued getter leaves the queue; one already handed an item
+        at this timestamp passes the item on to the next getter, or back
+        to the head of the store, instead of swallowing it."""
+        store = self.store
+        if self._state != _TRIGGERED:
+            store._getters.remove(self)
+        elif store._getters:
+            store._getters.popleft().succeed(self._value)
+        else:
+            # May leave a bounded store one over capacity until the next
+            # get; put() and putter admission both wait for room.
+            store._items.appendleft(self._value)
+
+
+class _Putter(Event):
+    """A blocked ``Store.put()`` event: fires once its item is admitted."""
+
+    __slots__ = ("store", "item")
+
+    def _abandon(self) -> None:
+        """Called by ``Process.interrupt``: a still-blocked put leaves the
+        queue, so its item is never admitted.  One that already fired
+        stands: its item is in the store."""
+        if self._state != _TRIGGERED:
+            self.store._putters.remove(self)
 
 
 class _Grant(Event):

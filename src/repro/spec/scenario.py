@@ -335,8 +335,6 @@ _WORKLOADS: Dict[str, Dict[str, _Field]] = {
         "tenants": _Field("int", default=4, minimum=1),
         "duration": _Field("float", default=2e-3, minimum=0.0),
         "seed": _Field("int", default=42),
-        "engine": _Field("str", default="heap",
-                         choices=("heap", "calendar")),
     },
     "overload": {
         "mode": _Field("str", default="metastable",
@@ -435,6 +433,25 @@ _TOP_LEVEL_KEYS = {
 }
 
 
+def _drop_retired_engine(scenario: str, workload: Any) -> Any:
+    """``workload`` without the retired saturate ``engine`` field.
+
+    Saturate cells once chose a run loop, "heap" or "calendar".  The two
+    were bit-identical by contract, so a document naming either loads
+    with the field dropped and replays exactly; any other value is
+    still an error.
+    """
+    if (scenario != "saturate" or not isinstance(workload, dict)
+            or "engine" not in workload):
+        return workload
+    if workload["engine"] not in ("heap", "calendar"):
+        raise SpecError(
+            f"workload.engine: {workload['engine']!r} not one of "
+            "['calendar', 'heap']"
+        )
+    return {key: value for key, value in workload.items() if key != "engine"}
+
+
 def _section_defaults(name: str) -> Dict[str, Any]:
     return _normalize_section(name, {}, _SECTION_TABLES[name])
 
@@ -494,7 +511,8 @@ class ScenarioSpec:
         oracle = _normalize_section("oracle", data.get("oracle"), _ORACLE)
         faults = _normalize_faults(data.get("faults"))
         workload = _normalize_section(
-            "workload", data.get("workload"), _WORKLOADS[scenario]
+            "workload", _drop_retired_engine(scenario, data.get("workload")),
+            _WORKLOADS[scenario],
         )
 
         # Materialize per-scenario defaults so equivalent documents share

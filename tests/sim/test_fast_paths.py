@@ -9,7 +9,7 @@ to deliver.
 
 import pytest
 
-from repro.sim import CalendarEnvironment, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 from repro.sim.engine import _GRANTED
 
 
@@ -180,30 +180,3 @@ def test_blocked_put_still_waits_for_room():
     env.run()
     assert blocked.processed
     assert store.items == ("b",)
-
-
-def _contended_cores(env):
-    core = Resource(env)
-    log = []
-
-    def worker(env, tag):
-        for _ in range(3):
-            yield env.timeout(1e-6)
-            yield core.request()
-            log.append((env.now, tag))
-            yield env.timeout(0.5e-6)
-            core.release()
-
-    for tag in range(4):
-        env.process(worker(env, tag))
-    env.run()
-    return log, _eids_used(env)
-
-
-def test_calendar_engine_takes_the_in_step_grant():
-    """The calendar engine's inlined resume continues on the granted marker
-    too, so both engines dispatch the same order and consume the same
-    event ids."""
-    assert (_contended_cores(CalendarEnvironment())
-            == _contended_cores(Environment()))
-

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hw.cpu import Core
-from repro.sim import Environment, Interrupt, Resource
+from repro.sim import Environment, Interrupt, Resource, Store
 
 
 def test_interrupt_releases_held_core():
@@ -126,3 +126,95 @@ def test_interrupt_after_grant_fired_gives_the_slot_back():
     assert "victim got it" not in log
     assert ("late got it", 10.0) in log
     assert resource.in_use == 0 and resource.queued == 0
+
+
+def test_interrupted_store_getter_does_not_swallow_the_next_item():
+    """A waits on get() and is interrupted at t=1; B waits from t=2; the
+    item put at t=3 must reach B, not A's abandoned getter."""
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def getter(env, name, start):
+        yield env.timeout(start)
+        try:
+            item = yield store.get()
+            log.append((name, item, env.now))
+        except Interrupt:
+            log.append((name, "interrupted", env.now))
+
+    a = env.process(getter(env, "A", 0.0))
+    env.process(getter(env, "B", 2.0))
+
+    def control(env):
+        yield env.timeout(1.0)
+        a.interrupt()
+        yield env.timeout(2.0)
+        yield store.put("x")
+
+    env.process(control(env))
+    env.run()
+    assert log == [("A", "interrupted", 1.0), ("B", "x", 3.0)]
+    assert len(store) == 0 and not store._getters
+
+
+def test_interrupt_after_item_handed_passes_the_item_on():
+    """The put at t=5 hands the item to the waiting getter, and the
+    getter is interrupted at that same timestamp before its event pops.
+    The item goes back to the head of the store, ahead of later items,
+    and the next get receives it."""
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def victim(env):
+        try:
+            item = yield store.get()
+            log.append(("victim", item))
+        except Interrupt:
+            log.append(("victim interrupted", env.now))
+
+    victim_proc = env.process(victim(env))
+
+    def control(env):
+        yield env.timeout(5.0)
+        yield store.put("first")
+        victim_proc.interrupt()
+        yield store.put("second")
+        item = yield store.get()
+        log.append(("late", item, env.now))
+
+    env.process(control(env))
+    env.run()
+    assert log == [("victim interrupted", 5.0), ("late", "first", 5.0)]
+    assert store.items == ("second",)
+
+
+def test_interrupted_blocked_put_is_never_admitted():
+    """A put blocked on a full store and then interrupted leaves the
+    putter queue: a later get frees room without admitting its item."""
+    env = Environment()
+    store = Store(env, capacity=1)
+    log = []
+
+    def filler(env):
+        yield store.put("kept")
+        try:
+            yield store.put("dropped")
+            log.append("dropped admitted")
+        except Interrupt:
+            log.append(("put interrupted", env.now))
+
+    filler_proc = env.process(filler(env))
+
+    def control(env):
+        yield env.timeout(1.0)
+        filler_proc.interrupt()
+        yield env.timeout(1.0)
+        item = yield store.get()
+        log.append(("got", item, env.now))
+
+    env.process(control(env))
+    env.run()
+    assert log == [("put interrupted", 1.0), ("got", "kept", 2.0)]
+    assert len(store) == 0 and not store._putters

@@ -6,6 +6,7 @@ from repro.check import WorkloadSpec, check_workload, dump_reproducer
 from repro.check.runner import build_matrix_specs, run_check_matrix
 from repro.sim.faults import FaultPlan
 from repro.spec import (
+    ScenarioSpec,
     load_spec_file,
     run_scenario,
     upgrade_fault_plan,
@@ -100,3 +101,18 @@ def test_faultplan_serialization_round_trips():
     plan.degrade(at=4e-4, target_index=0, factor=4.0, duration=2e-4)
     rebuilt = FaultPlan.from_dict(plan.to_dict())
     assert rebuilt.to_dict() == plan.to_dict()
+
+
+def test_calendar_engine_saturate_spec_replays_like_heap():
+    """Saturate specs once named a run loop; both engines were
+    bit-identical, so a ``"engine": "calendar"`` document loads, drops
+    the field and renders the same report as the spec without it."""
+    workload = {"systems": ["rio"], "loads_kiops": [100], "duration": 1e-3}
+    legacy = run_scenario(ScenarioSpec.from_dict(
+        {"scenario": "saturate",
+         "workload": {**workload, "engine": "calendar"}}
+    ))
+    plain = run_scenario(ScenarioSpec.from_dict(
+        {"scenario": "saturate", "workload": workload}
+    ))
+    assert legacy.render() == plain.render()

@@ -326,22 +326,19 @@ def test_every_scenario_has_a_minimal_document():
 
 
 # ----------------------------------------------------------------------
-# The engine knob (saturate workload)
+# The retired engine field (saturate workload)
 # ----------------------------------------------------------------------
 
 
-def test_saturate_engine_defaults_to_heap():
-    spec = ScenarioSpec.from_dict({"scenario": "saturate"})
-    assert spec.workload["engine"] == "heap"
-
-
-def test_saturate_engine_accepts_calendar_and_keys_digest():
-    heap = ScenarioSpec.from_dict({"scenario": "saturate"})
-    calendar = ScenarioSpec.from_dict(
-        {"scenario": "saturate", "workload": {"engine": "calendar"}}
-    )
-    assert calendar.workload["engine"] == "calendar"
-    assert calendar.canonical_json() != heap.canonical_json()
+def test_saturate_engine_accepts_calendar_and_drops_it():
+    plain = ScenarioSpec.from_dict({"scenario": "saturate"})
+    for engine in ("heap", "calendar"):
+        legacy = ScenarioSpec.from_dict(
+            {"scenario": "saturate", "workload": {"engine": engine}}
+        )
+        assert "engine" not in legacy.workload
+        assert legacy.canonical_json() == plain.canonical_json()
+        assert legacy.digest() == plain.digest()
 
 
 def test_saturate_engine_rejects_unknown_value():
