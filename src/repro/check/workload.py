@@ -144,27 +144,22 @@ def build_testbed(spec: WorkloadSpec):
     streams, which is what makes snapshot restore into a *fresh* testbed a
     faithful crash model.
 
-    ``spec.initiators > 1`` builds a sharded multi-initiator cluster
-    instead: N initiator hosts fan in to the layout's targets, streams
+    ``spec.initiators > 1`` puts a sharded stack on the multi-initiator
+    cluster: N initiator hosts fan in to the layout's targets, streams
     are sharded across hosts by residue (stream ``s`` on host ``s % N``),
     and recovery runs once from the coordinator (host 0) — the same
     order oracle then validates ordering under fan-in.
     """
     env = Environment()
+    cluster = build_cluster(spec.layout, env=env, seed=spec.seed,
+                            num_initiators=spec.initiators)
+    num_streams = max(spec.streams, 1)
     if spec.initiators > 1:
-        from repro.harness.experiment import LAYOUTS
-        from repro.scale import ScaleOutCluster, ShardedStack
+        from repro.scale import ShardedStack
 
-        cluster = ScaleOutCluster(
-            env, LAYOUTS[spec.layout], num_initiators=spec.initiators,
-            seed=spec.seed,
-        )
-        stack = ShardedStack(cluster, spec.system,
-                             num_streams=max(spec.streams, 1))
-        _prefill_cluster(cluster, spec.prefill)
-        return env, cluster, stack
-    cluster = build_cluster(spec.layout, env=env, seed=spec.seed)
-    stack = make_stack(spec.system, cluster, num_streams=max(spec.streams, 1))
+        stack = ShardedStack(cluster, spec.system, num_streams=num_streams)
+    else:
+        stack = make_stack(spec.system, cluster, num_streams=num_streams)
     _prefill_cluster(cluster, spec.prefill)
     return env, cluster, stack
 

@@ -553,18 +553,12 @@ def run_tenant_chaos_trial(
         QosClass,
         TenantQos,
     )
-    from repro.scale import (
-        OpenLoopConfig,
-        ScaleOutCluster,
-        ShardedStack,
-        run_open_loop,
-    )
+    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
 
     env = Environment()
-    cluster = ScaleOutCluster(
+    cluster = Cluster(
         env,
         LAYOUTS[layout],
-        num_initiators=1,
         seed=seed,
         hardening=_storm_hardening() if qos else None,
     )
@@ -675,13 +669,13 @@ def run_scale_chaos_trial(
     bystander hosts' completion times against.  Per-host driver activity
     lands in ``node_reconnects`` / ``node_retries``.
     """
-    from repro.scale import ScaleOutCluster, ShardedStack
+    from repro.scale import ShardedStack
 
     env = Environment()
     if trace:
         env.tracer = Tracer(categories={"fault", "driver", "rio.gate"})
     num_qps = max(threads, 2)
-    cluster = ScaleOutCluster(
+    cluster = Cluster(
         env,
         LAYOUTS[layout],
         num_initiators=initiators,

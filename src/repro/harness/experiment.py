@@ -122,12 +122,13 @@ def _fmt(value) -> str:
 
 
 def build_cluster(layout: str, env: Optional[Environment] = None,
-                  seed: int = 42) -> Cluster:
-    """A fresh cluster for the named hardware layout."""
+                  seed: int = 42, **kwargs) -> Cluster:
+    """A fresh cluster for the named hardware layout (``kwargs`` go to
+    :class:`~repro.cluster.Cluster`, e.g. ``num_initiators``)."""
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
     env = env or Environment()
-    return Cluster(env, target_ssds=LAYOUTS[layout], seed=seed)
+    return Cluster(env, target_ssds=LAYOUTS[layout], seed=seed, **kwargs)
 
 
 def build_stack(system: str, cluster: Cluster, num_streams: int) -> OrderedStack:

@@ -21,9 +21,9 @@ from typing import Sequence
 
 from repro.apps.fio import run_block_workload
 from repro.cluster import Cluster
+from repro.core.api import RioDevice
 from repro.harness.experiment import FigureResult, build_cluster, fio_run
 from repro.hw.ssd import OPTANE_905P
-from repro.multi import MultiInitiatorCluster
 from repro.sim.engine import Environment
 from repro.systems import make_stack
 from repro.systems.rio import RioStack
@@ -230,21 +230,20 @@ def multi_initiator_scaling(
     )
     for count in initiator_counts:
         env = Environment()
-        multi = MultiInitiatorCluster(
+        cluster = Cluster(
             env,
             target_ssds=((OPTANE_905P,), (OPTANE_905P,)),
             num_initiators=count,
-            streams_per_initiator=streams_per_initiator,
         )
         done = [0]
 
-        def writer(node, stream):
-            core = node.server.cpus.pick(stream)
+        def writer(node, rio, stream):
+            core = node.cpus.pick(stream)
             area = (node.index * streams_per_initiator + stream) * 8_000_000
             inflight = []
             i = 0
             while env.now < duration:
-                event = yield from node.rio.write(
+                event = yield from rio.write(
                     core, stream, lba=area + i * 2, nblocks=1,
                 )
                 i += 1
@@ -256,9 +255,13 @@ def multi_initiator_scaling(
                             done[0] += 1
                     inflight = [e for e in inflight if not e.triggered]
 
-        for node in multi.initiators:
+        for node in cluster.nodes:
+            rio = RioDevice(
+                node, num_streams=streams_per_initiator,
+                stream_base=cluster.directory.allocate(streams_per_initiator),
+            )
             for stream in range(streams_per_initiator):
-                env.process(writer(node, stream))
+                env.process(writer(node, rio, stream))
         env.run(until=duration)
         result.add(
             initiators=count,

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.harness.experiment import LAYOUTS, FigureResult
+from repro.harness.experiment import LAYOUTS, FigureResult, build_cluster
 from repro.harness.sweep import RunSpec, Sweep, run_sweep
 
 __all__ = [
@@ -299,16 +299,11 @@ def probe_overload(
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
     """
-    from repro.scale import ScaleOutCluster, ShardedStack
-    from repro.sim.engine import Environment
+    from repro.scale import ShardedStack
 
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
-    env = Environment()
-    cluster = ScaleOutCluster(
-        env, LAYOUTS[layout], num_initiators=initiators, seed=seed,
-        hardening=_hardening(protection),
-    )
+    cluster = build_cluster(layout, seed=seed, num_initiators=initiators,
+                            hardening=_hardening(protection))
+    env = cluster.env
     if protection == "full":
         cluster.install_admission(_admission_config())
     stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))
@@ -499,9 +494,8 @@ def probe_gray(
     breaker on the sick target opens.
     """
     from repro.block.request import BlockRequest
-    from repro.scale import ScaleOutCluster, ShardedStack
+    from repro.scale import ShardedStack
     from repro.scale.loadgen import TENANT_AREA_BLOCKS
-    from repro.sim.engine import Environment
     from repro.sim.faults import FaultPlan
     from repro.sim.rng import DeterministicRNG
     from repro.sim.stats import LatencyRecorder
@@ -512,11 +506,8 @@ def probe_gray(
     width = sum(len(t) for t in profiles)
     if len(profiles) < 2:
         raise ValueError("the gray scenario needs at least two targets")
-    env = Environment()
-    cluster = ScaleOutCluster(
-        env, profiles, num_initiators=1, seed=seed,
-        hardening=_hardening("full"),
-    )
+    cluster = build_cluster(layout, seed=seed, hardening=_hardening("full"))
+    env = cluster.env
     cluster.install_admission(_admission_config())
     monitors = cluster.attach_health()
     stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.harness.experiment import LAYOUTS, FigureResult
+from repro.harness.experiment import FigureResult, build_cluster
 from repro.harness.sweep import RunSpec, Sweep, run_sweep
 
 __all__ = [
@@ -70,21 +70,10 @@ def probe_saturation(
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
     """
-    from repro.scale import (
-        OpenLoopConfig,
-        ScaleOutCluster,
-        ShardedStack,
-        run_open_loop,
-    )
-    from repro.sim.engine import Environment
+    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
 
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
-    env = Environment()
-    cluster = ScaleOutCluster(
-        env, LAYOUTS[layout], num_initiators=initiators, seed=seed,
-        steering=steering,
-    )
+    cluster = build_cluster(layout, seed=seed, num_initiators=initiators,
+                            steering=steering)
     stack = ShardedStack(cluster, system, num_streams=max(tenants, 1))
     run = run_open_loop(
         cluster, stack,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.harness.experiment import LAYOUTS, FigureResult
+from repro.harness.experiment import FigureResult, build_cluster
 from repro.harness.saturate import (
     DEFAULT_LOADS_KIOPS,
     knee_point,
@@ -139,25 +139,15 @@ def probe_tenants(
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
     """
-    from repro.scale import (
-        OpenLoopConfig,
-        ScaleOutCluster,
-        ShardedStack,
-        run_open_loop,
-    )
-    from repro.sim.engine import Environment
+    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
     from repro.tenants import (
         DiurnalProfile,
         TenantDirectory,
         TenantTrafficPlane,
     )
 
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
-    env = Environment()
-    cluster = ScaleOutCluster(
-        env, LAYOUTS[layout], num_initiators=initiators, seed=seed,
-        steering=steering,
+    cluster = build_cluster(
+        layout, seed=seed, num_initiators=initiators, steering=steering,
         hardening=_storm_hardening() if qos else None,
     )
     stack = ShardedStack(cluster, system, num_streams=max(streams, 1))
@@ -385,22 +375,12 @@ def probe_noisy_neighbor(
         QosClass,
         TenantQos,
     )
-    from repro.scale import (
-        OpenLoopConfig,
-        ScaleOutCluster,
-        ShardedStack,
-        run_open_loop,
-    )
-    from repro.sim.engine import Environment
+    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
 
-    if layout not in LAYOUTS:
-        raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
     if aggressor_lanes < 1:
         raise ValueError("need at least one aggressor lane")
-    env = Environment()
-    cluster = ScaleOutCluster(
-        env, LAYOUTS[layout], num_initiators=1, seed=seed,
-        steering=steering,
+    cluster = build_cluster(
+        layout, seed=seed, steering=steering,
         # QFULL requeue/backoff turns target sheds into initiator-side
         # pacing; the unprotected run has no sheds to pace (and no
         # timeouts to mask the queueing it is meant to expose).

@@ -1,15 +1,13 @@
-"""Scale-out plane: sharded multi-initiator clusters + load generators.
+"""Scale-out plane: sharded stacks over multi-initiator clusters + load generators.
 
 The paper's headline claim is CPU-efficient ordering *at scale* (§3.2,
-§6, Figs. 10-12); this package is the fan-in testbed that claim is
-exercised on:
+§6, Figs. 10-12); this package drives the fan-in testbed that claim is
+exercised on — an N-initiator :class:`repro.cluster.Cluster`:
 
-* :mod:`repro.scale.cluster` — :class:`ScaleOutCluster` (N initiator
-  hosts, each with its own CPU set, block layer and NVMe-oF driver,
-  fanning into M shared targets over one fabric, with per-core
-  connection sharding and IRQ/completion steering) and
-  :class:`ShardedStack` (one ordered-stack facade over the per-node
-  stacks, routing global streams to their owning node).
+* :mod:`repro.scale.cluster` — :class:`ShardedStack` (one ordered-stack
+  facade over per-node stacks, routing global streams to their owning
+  node).  ``ScaleOutCluster`` remains another name for
+  :class:`repro.cluster.Cluster`.
 * :mod:`repro.scale.loadgen` — open-loop (fixed-rate Poisson) and
   closed-loop (think-time-bounded) per-tenant load generators that
   drive a :class:`ShardedStack` and record completion latencies.
@@ -18,7 +16,7 @@ The saturation experiment over this plane lives in
 :mod:`repro.harness.saturate` (``repro saturate``).
 """
 
-from repro.scale.cluster import ScaleNode, ScaleOutCluster, ShardedStack
+from repro.scale.cluster import ScaleOutCluster, ShardedStack
 from repro.scale.loadgen import (
     ClosedLoopConfig,
     LoadgenResult,
@@ -28,7 +26,6 @@ from repro.scale.loadgen import (
 )
 
 __all__ = [
-    "ScaleNode",
     "ScaleOutCluster",
     "ShardedStack",
     "OpenLoopConfig",

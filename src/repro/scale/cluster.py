@@ -1,15 +1,8 @@
-"""Sharded multi-initiator cluster: N hosts fan in to M targets.
+"""Sharded ordered-stack facade over an N-initiator :class:`~repro.cluster.Cluster`.
 
-:class:`ScaleOutCluster` generalizes :class:`repro.cluster.Cluster` the
-same way :class:`repro.multi.MultiInitiatorCluster` does — shared target
-servers, per-initiator NIC/driver/connections — but is *system-agnostic*:
-instead of baking in a :class:`~repro.core.api.RioDevice` per node, it
-assembles bare :class:`ScaleNode` hosts and lets :class:`ShardedStack`
-put any compared system (rio / horae / linux / barrier / orderless) on
-top.  It also threads the scale-out plane's steering knobs down the
-stack: ``steering`` selects the target- and initiator-side
-IRQ/completion steering policy (:data:`repro.hw.cpu.STEERING_POLICIES`),
-``qp_steering`` the block-queue-to-QP mapping.
+:class:`ShardedStack` puts any compared system (rio / horae / linux /
+barrier / orderless) on every node of a cluster and routes each global
+stream to the node that owns it.
 
 Stream sharding works by *congruence*, not translation: global stream
 ``s`` is owned by node ``s % N``, so each node's stack only ever sees
@@ -19,244 +12,35 @@ needs (§4.5: streams are fully independent).  Rio is the one exception:
 its sequencer indexes streams densely, so the facade maps ``s`` to the
 node-local index ``s // N`` and the node's
 :class:`~repro.core.api.RioDevice` (configured with a disjoint
-wire-stream range from the :class:`~repro.multi.StreamDirectory`)
-translates to the wire.
+wire-stream range from the cluster's
+:class:`~repro.cluster.StreamDirectory`) translates to the wire.
 
 Recovery after a full-cluster crash runs once, from node 0: the PMR
 attribute logs on the shared targets are keyed by global wire stream id,
 so the coordinator's scan covers every initiator's streams (§4.9; proven
 by ``tests/core/test_multi_initiator.py`` and the multi-initiator cells
 of the ``repro check`` matrix).
+
+``ScaleOutCluster`` is another name for :class:`~repro.cluster.Cluster`,
+which it was folded into; it stays because the benchmark harness in
+``perfbench/`` imports and instruments the assembly under that name.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.block.request import Bio, WriteFlags
-from repro.block.volume import LogicalVolume
+from repro.cluster import Cluster, ScaleNode
 from repro.core.api import RioDevice
-from repro.hw.cpu import Core, CpuSet
-from repro.hw.nic import Nic
-from repro.hw.pmr import PersistentMemoryRegion
-from repro.hw.ssd import NvmeSsd, SsdProfile
-from repro.multi import StreamDirectory
-from repro.net.fabric import Fabric
-from repro.nvmeof.costs import DEFAULT_COSTS, CpuCosts
-from repro.nvmeof.initiator import (
-    DriverHardening,
-    InitiatorDriver,
-    InitiatorServer,
-    RemoteNamespace,
-)
-from repro.nvmeof.target import TargetServer
-from repro.sim.engine import Environment
-from repro.sim.rng import DeterministicRNG
+from repro.hw.cpu import Core
 
-__all__ = ["ScaleNode", "ScaleOutCluster", "ShardedStack"]
+__all__ = ["ScaleOutCluster", "ShardedStack"]
+
+ScaleOutCluster = Cluster
 
 #: Systems whose per-node stack is a RioDevice with dense local streams.
 _RIO_SYSTEMS = ("rio", "rio-nomerge")
-
-
-class _NodeClusterView:
-    """Adapter giving one node's stack its per-initiator cluster view."""
-
-    def __init__(self, scale: "ScaleOutCluster", server: InitiatorServer,
-                 driver: InitiatorDriver, namespaces: List[RemoteNamespace]):
-        self.env = scale.env
-        self.costs = scale.costs
-        self.initiator = server
-        self.driver = driver
-        self.targets = scale.targets
-        self.namespaces = namespaces
-
-    def volume(self, namespaces=None, stripe_blocks: int = 1) -> LogicalVolume:
-        return LogicalVolume(namespaces or self.namespaces, stripe_blocks)
-
-
-class ScaleNode:
-    """One initiator host: CPU set, NIC, driver, connections."""
-
-    def __init__(
-        self,
-        index: int,
-        server: InitiatorServer,
-        driver: InitiatorDriver,
-        namespaces: List[RemoteNamespace],
-        view: _NodeClusterView,
-    ):
-        self.index = index
-        self.server = server
-        self.driver = driver
-        self.namespaces = namespaces
-        self.view = view
-
-    @property
-    def cpus(self) -> CpuSet:
-        return self.server.cpus
-
-    def __repr__(self) -> str:
-        return f"<ScaleNode {self.index} ({self.server.name})>"
-
-
-class ScaleOutCluster:
-    """N initiator hosts sharing M target servers over one fabric."""
-
-    def __init__(
-        self,
-        env: Environment,
-        target_ssds: Sequence[Sequence[SsdProfile]],
-        num_initiators: int = 2,
-        initiator_cores: int = 36,
-        target_cores: int = 36,
-        num_qps: Optional[int] = None,
-        costs: CpuCosts = DEFAULT_COSTS,
-        seed: int = 42,
-        transport: str = "rdma",
-        steering: str = "pin",
-        qp_steering: str = "pin",
-        hardening: Optional[DriverHardening] = None,
-    ):
-        if num_initiators < 1:
-            raise ValueError("need at least one initiator host")
-        if not target_ssds:
-            raise ValueError("need at least one target server")
-        self.env = env
-        self.costs = costs
-        self.transport = transport
-        self.steering = steering
-        self.num_initiators = num_initiators
-        self.rng = DeterministicRNG(seed)
-        self.fabric = Fabric(env, self.rng.fork("fabric"), transport=transport)
-        self.directory = StreamDirectory()
-        num_qps = num_qps or initiator_cores
-
-        # ---- shared target servers ----
-        self.targets: List[TargetServer] = []
-        for tid, profiles in enumerate(target_ssds):
-            if not profiles:
-                raise ValueError(f"target {tid} has no SSDs")
-            name = f"target{tid}"
-            ssds = [
-                NvmeSsd(env, profile, rng=self.rng.fork(f"{name}-ssd{sid}"),
-                        name=f"{name}-ssd{sid}")
-                for sid, profile in enumerate(profiles)
-            ]
-            self.targets.append(
-                TargetServer(
-                    env,
-                    name=name,
-                    cpus=CpuSet(env, target_cores, name=f"{name}-cpu"),
-                    nic=Nic(env, name=f"{name}-nic"),
-                    ssds=ssds,
-                    pmr=PersistentMemoryRegion(env, name=f"{name}-pmr"),
-                    costs=costs,
-                    steering=steering,
-                )
-            )
-
-        # ---- per-initiator hosts ----
-        self.nodes: List[ScaleNode] = []
-        for iid in range(num_initiators):
-            server = InitiatorServer(
-                env,
-                name=f"initiator{iid}",
-                cpus=CpuSet(env, initiator_cores, name=f"initiator{iid}-cpu"),
-                nic=Nic(env, name=f"initiator{iid}-nic"),
-            )
-            driver = InitiatorDriver(
-                env, server, costs=costs, hardening=hardening,
-                steering=steering,
-            )
-            namespaces: List[RemoteNamespace] = []
-            for target in self.targets:
-                qps = self.fabric.connect(server.nic, target.nic, num_qps)
-                initiator_eps = [qp.endpoints[0] for qp in qps]
-                target_eps = [qp.endpoints[1] for qp in qps]
-                target.attach_connection(target_eps)
-                driver.register_connection(initiator_eps)
-                for sid in range(len(target.ssds)):
-                    namespaces.append(
-                        RemoteNamespace(target, nsid=sid,
-                                        endpoints=initiator_eps,
-                                        qp_steering=qp_steering)
-                    )
-            view = _NodeClusterView(self, server, driver, namespaces)
-            self.nodes.append(ScaleNode(iid, server, driver, namespaces, view))
-
-    # -- robustness plane --------------------------------------------------
-
-    def attach_health(self, config=None) -> List[Any]:
-        """Install a :class:`~repro.robust.health.HealthMonitor` on every
-        node's driver (one monitor per node: health is judged from each
-        initiator's own completion stream).  Returns the monitors,
-        node-indexed."""
-        from repro.robust.health import HealthMonitor
-
-        monitors = []
-        for node in self.nodes:
-            monitor = HealthMonitor(config, env=self.env)
-            node.driver.health = monitor
-            monitors.append(monitor)
-        return monitors
-
-    def install_admission(self, config=None) -> None:
-        """Install target-side admission control on every shared target."""
-        for target in self.targets:
-            target.install_admission(config)
-
-    def healthy_target_for(self, node_index: int, now: float) -> int:
-        """Index of the healthiest target by node ``node_index``'s monitor
-        (for steering *unordered* flows; ordered streams cannot migrate).
-        Falls back to target 0 when no monitor is attached."""
-        driver = self.nodes[node_index].driver
-        if driver.health is None:
-            return 0
-        names = [t.name for t in self.targets]
-        best = driver.health.pick(names, now)
-        return names.index(best)
-
-    # -- single-initiator compatibility surface ----------------------------
-    # The crash oracle's workload/recovery drivers address "the
-    # initiator"; on a scale-out cluster that is the coordinator, node 0.
-
-    @property
-    def initiator(self) -> InitiatorServer:
-        return self.nodes[0].server
-
-    @property
-    def driver(self) -> InitiatorDriver:
-        return self.nodes[0].driver
-
-    @property
-    def namespaces(self) -> List[RemoteNamespace]:
-        return self.nodes[0].namespaces
-
-    def volume(self, namespaces=None, stripe_blocks: int = 1) -> LogicalVolume:
-        return LogicalVolume(namespaces or self.nodes[0].namespaces,
-                             stripe_blocks)
-
-    # -- measurement helpers -----------------------------------------------
-
-    def start_cpu_window(self) -> None:
-        for node in self.nodes:
-            node.cpus.start_window()
-        for target in self.targets:
-            target.cpus.start_window()
-
-    def stop_cpu_window(self) -> None:
-        for node in self.nodes:
-            node.cpus.stop_window()
-        for target in self.targets:
-            target.cpus.stop_window()
-
-    def initiator_busy_cores(self, elapsed: float) -> float:
-        """Busy cores summed over every initiator host."""
-        return sum(node.cpus.busy_cores(elapsed) for node in self.nodes)
-
-    def target_busy_cores(self, elapsed: float) -> float:
-        return sum(t.cpus.busy_cores(elapsed) for t in self.targets)
 
 
 class ShardedStack:
@@ -272,7 +56,7 @@ class ShardedStack:
 
     def __init__(
         self,
-        cluster: ScaleOutCluster,
+        cluster: Cluster,
         system: str,
         num_streams: int,
     ):
@@ -295,7 +79,7 @@ class ShardedStack:
                 owned = len(range(node.index, num_streams, n))
                 stream_base = cluster.directory.allocate(max(owned, 1))
                 device = RioDevice(
-                    node.view,
+                    node,
                     num_streams=max(owned, 1),
                     stream_base=stream_base,
                     merging_enabled=(system != "rio-nomerge"),
@@ -303,11 +87,11 @@ class ShardedStack:
                 self.stacks.append(device)
                 self._submit_fns.append(device.submit)
             else:
-                stack = make_stack(system, node.view,
+                stack = make_stack(system, node,
                                    num_streams=num_streams)
                 self.stacks.append(stack)
                 self._submit_fns.append(stack.submit_ordered)
-        self.volume = cluster.nodes[0].view.volume()
+        self.volume = cluster.volume()
         if hasattr(self.stacks[0], "recovery"):
             # Coordinator recovery (node 0) covers all global streams:
             # the targets' PMR logs are keyed by wire stream id.

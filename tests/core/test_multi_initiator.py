@@ -2,20 +2,23 @@
 
 import pytest
 
+from repro.cluster import Cluster, StreamDirectory
+from repro.core.api import RioDevice
 from repro.hw.ssd import OPTANE_905P
-from repro.multi import MultiInitiatorCluster, StreamDirectory
 from repro.sim import Environment
 
 
 def make_multi(num_initiators=2, targets=((OPTANE_905P,),), streams=4):
+    """A shared-target cluster plus one Rio device per initiator node,
+    each on its own directory-assigned global stream range."""
     env = Environment()
-    multi = MultiInitiatorCluster(
-        env,
-        target_ssds=targets,
-        num_initiators=num_initiators,
-        streams_per_initiator=streams,
-    )
-    return env, multi
+    cluster = Cluster(env, target_ssds=targets, num_initiators=num_initiators)
+    rios = [
+        RioDevice(node, num_streams=streams,
+                  stream_base=cluster.directory.allocate(streams))
+        for node in cluster.nodes
+    ]
+    return env, cluster, rios
 
 
 def test_stream_directory_allocates_disjoint_ranges():
@@ -29,25 +32,24 @@ def test_stream_directory_allocates_disjoint_ranges():
 
 
 def test_initiators_share_targets_but_not_drivers():
-    env, multi = make_multi()
-    assert len(multi.initiators) == 2
-    assert multi.initiators[0].driver is not multi.initiators[1].driver
-    assert multi.initiators[0].namespaces[0].target is \
-        multi.initiators[1].namespaces[0].target
+    env, multi, rios = make_multi()
+    assert len(multi.nodes) == 2
+    assert multi.nodes[0].driver is not multi.nodes[1].driver
+    assert multi.nodes[0].namespaces[0].target is \
+        multi.nodes[1].namespaces[0].target
     # Both Rio devices reuse the one target policy (no state wipe).
-    assert multi.initiators[0].rio.policies[0] is \
-        multi.initiators[1].rio.policies[0]
+    assert rios[0].policies[0] is rios[1].policies[0]
 
 
 def test_concurrent_initiators_preserve_per_stream_order():
-    env, multi = make_multi()
+    env, multi, rios = make_multi()
     release_orders = {0: [], 1: []}
 
     def writer(node, order):
-        core = node.server.cpus.pick(0)
+        core = node.cpus.pick(0)
         events = []
         for i in range(25):
-            done = yield from node.rio.write(
+            done = yield from rios[node.index].write(
                 core, 0, lba=node.index * 1_000_000 + i * 2, nblocks=1,
                 payload=[(node.index, i + 1)],
             )
@@ -61,7 +63,7 @@ def test_concurrent_initiators_preserve_per_stream_order():
 
     procs = [
         env.process(writer(node, release_orders[node.index]))
-        for node in multi.initiators
+        for node in multi.nodes
     ]
     env.run_until_event(env.all_of(procs))
     assert release_orders[0] == list(range(25))
@@ -69,12 +71,11 @@ def test_concurrent_initiators_preserve_per_stream_order():
 
 
 def test_attributes_carry_global_stream_ids():
-    env, multi = make_multi(streams=4)
-    node1 = multi.initiators[1]
-    core = node1.server.cpus.pick(0)
+    env, multi, rios = make_multi(streams=4)
+    core = multi.nodes[1].cpus.pick(0)
 
     def proc(env):
-        done = yield from node1.rio.write(core, 2, lba=0, nblocks=1)
+        done = yield from rios[1].write(core, 2, lba=0, nblocks=1)
         yield done
 
     env.run_until_event(env.process(proc(env)))
@@ -85,23 +86,23 @@ def test_attributes_carry_global_stream_ids():
 
 
 def test_both_initiators_write_durably():
-    env, multi = make_multi()
+    env, multi, rios = make_multi()
 
     def writer(node):
-        core = node.server.cpus.pick(0)
+        core = node.cpus.pick(0)
         events = []
         for i in range(10):
-            done = yield from node.rio.write(
+            done = yield from rios[node.index].write(
                 core, 0, lba=node.index * 100 + i, nblocks=1,
                 payload=[(node.index, i)],
             )
             events.append(done)
         yield env.all_of(events)
 
-    procs = [env.process(writer(node)) for node in multi.initiators]
+    procs = [env.process(writer(node)) for node in multi.nodes]
     env.run_until_event(env.all_of(procs))
     ssd = multi.targets[0].ssds[0]
-    for node in multi.initiators:
+    for node in multi.nodes:
         for i in range(10):
             assert ssd.durable_payload(node.index * 100 + i) == (node.index, i)
 
@@ -109,17 +110,17 @@ def test_both_initiators_write_durably():
 def test_crash_recovery_with_two_initiators():
     """A coordinator (initiator 0) recovers the whole cluster: prefixes
     are computed per global stream, covering both initiators' streams."""
-    env, multi = make_multi()
+    env, multi, rios = make_multi()
 
     def writer(node):
-        core = node.server.cpus.pick(0)
+        core = node.cpus.pick(0)
         for i in range(50):
-            yield from node.rio.write(
+            yield from rios[node.index].write(
                 core, 0, lba=node.index * 1_000_000 + i * 2, nblocks=1,
                 payload=[(node.index, i + 1)],
             )
 
-    for node in multi.initiators:
+    for node in multi.nodes:
         env.process(writer(node))
     env.run(until=60e-6)
     for target in multi.targets:
@@ -131,9 +132,8 @@ def test_crash_recovery_with_two_initiators():
     holder = {}
 
     def recover(env):
-        coordinator = multi.initiators[0]
-        core = coordinator.server.cpus.pick(0)
-        holder["report"] = yield from coordinator.rio.recovery() \
+        core = multi.nodes[0].cpus.pick(0)
+        holder["report"] = yield from rios[0].recovery() \
             .run_initiator_recovery(core)
 
     env.run_until_event(env.process(recover(env)))
@@ -142,8 +142,8 @@ def test_crash_recovery_with_two_initiators():
     assert 0 in report.prefixes
     assert 4 in report.prefixes
     # Prefix property per stream, against ground truth.
-    for node in multi.initiators:
-        stream = node.stream_base  # local stream 0
+    for node, rio in zip(multi.nodes, rios):
+        stream = rio.sequencer.stream_base  # local stream 0
         prefix = report.prefixes.get(stream, 0)
         ssd = multi.targets[0].ssds[0]
         for i in range(50):

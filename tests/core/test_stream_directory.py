@@ -1,23 +1,36 @@
-"""StreamDirectory: range exhaustion, disjointness, wire translation.
+"""StreamDirectory: disjointness, wire translation.
 
 The directory is the paper's "distributed sequencer service" reduced to a
 range allocator (§4.9); the invariants that make sharing targets safe are
-(a) allocated global ranges never overlap, (b) a bounded directory refuses
-over-allocation instead of silently colliding, and (c) each initiator's
+(a) allocated global ranges never overlap, and (b) each initiator's
 *local* stream ids are translated to its global range before they reach
 the wire — the shared targets and PMR logs must only ever see global ids.
 """
 
 import pytest
 
+from repro.cluster import Cluster, StreamDirectory
+from repro.core.api import RioDevice
 from repro.core.attributes import OrderingAttribute
 from repro.hw.ssd import OPTANE_905P
-from repro.multi import MultiInitiatorCluster, StreamDirectory
 from repro.sim import Environment
 
 
+def build(num_initiators, streams=4):
+    """A shared-target cluster plus one Rio device per initiator node."""
+    env = Environment()
+    cluster = Cluster(env, target_ssds=((OPTANE_905P,),),
+                      num_initiators=num_initiators)
+    rios = [
+        RioDevice(node, num_streams=streams,
+                  stream_base=cluster.directory.allocate(streams))
+        for node in cluster.nodes
+    ]
+    return env, cluster, rios
+
+
 # ----------------------------------------------------------------------
-# Range exhaustion
+# Allocation
 # ----------------------------------------------------------------------
 
 
@@ -26,26 +39,7 @@ def test_unbounded_directory_allocates_monotonically():
     assert [directory.allocate(3) for _ in range(4)] == [0, 3, 6, 9]
 
 
-def test_bounded_directory_exhausts():
-    directory = StreamDirectory(capacity=8)
-    assert directory.allocate(5) == 0
-    assert directory.allocate(3) == 5
-    with pytest.raises(ValueError, match="exhausted"):
-        directory.allocate(1)
-
-
-def test_partial_overflow_is_refused_and_does_not_burn_range():
-    directory = StreamDirectory(capacity=8)
-    directory.allocate(6)
-    with pytest.raises(ValueError, match="2 of 8 left"):
-        directory.allocate(3)
-    # The failed request must not have consumed anything.
-    assert directory.allocate(2) == 6
-
-
-def test_invalid_capacity_and_count():
-    with pytest.raises(ValueError):
-        StreamDirectory(capacity=0)
+def test_invalid_count():
     with pytest.raises(ValueError):
         StreamDirectory().allocate(0)
 
@@ -56,16 +50,11 @@ def test_invalid_capacity_and_count():
 
 
 def test_assigned_ranges_are_disjoint_across_initiators():
-    env = Environment()
-    multi = MultiInitiatorCluster(
-        env,
-        target_ssds=((OPTANE_905P,),),
-        num_initiators=3,
-        streams_per_initiator=4,
-    )
+    _env, multi, rios = build(num_initiators=3)
     ranges = [
-        range(node.stream_base, node.stream_base + node.rio.num_streams)
-        for node in multi.initiators
+        range(rio.sequencer.stream_base,
+              rio.sequencer.stream_base + rio.num_streams)
+        for rio in rios
     ]
     claimed = [sid for r in ranges for sid in r]
     assert len(claimed) == len(set(claimed)), "global stream ranges overlap"
@@ -78,24 +67,18 @@ def test_assigned_ranges_are_disjoint_across_initiators():
 
 
 def test_local_stream_ids_reach_the_wire_translated():
-    env = Environment()
-    multi = MultiInitiatorCluster(
-        env,
-        target_ssds=((OPTANE_905P,),),
-        num_initiators=2,
-        streams_per_initiator=4,
-    )
+    env, multi, rios = build(num_initiators=2)
 
     def writer(node):
-        core = node.server.cpus.pick(0)
+        core = node.cpus.pick(0)
         # Both initiators use *local* stream 1.
-        done = yield from node.rio.write(
+        done = yield from rios[node.index].write(
             core, 1, lba=node.index * 1_000_000, nblocks=1,
             payload=[("node", node.index)],
         )
         yield done
 
-    for node in multi.initiators:
+    for node in multi.nodes:
         env.process(writer(node))
     env.run(until=5e-3)
 
@@ -104,9 +87,7 @@ def test_local_stream_ids_reach_the_wire_translated():
     # local 1 -> global stream_base + 1 for each node; the shared target
     # must never observe the raw local id of the second node colliding
     # with the first node's range.
-    expected = {
-        node.stream_base + 1 for node in multi.initiators
-    }
+    expected = {rio.sequencer.stream_base + 1 for rio in rios}
     assert wire_streams == expected == {1, 5}
 
     logged = {

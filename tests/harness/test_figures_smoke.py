@@ -88,6 +88,13 @@ def test_recovery_smoke():
 def test_extension_smoke():
     result = extensions.transport_comparison(threads=1, duration=TINY)
     assert len(result.rows) == 4
-    result = extensions.multi_initiator_scaling(initiator_counts=(1,),
+    result = extensions.multi_initiator_scaling(initiator_counts=(1, 2),
                                                 duration=TINY)
-    assert len(result.rows) == 1
+    assert len(result.rows) == 2
+    # Exact values pin the multi-initiator assembly: any change to how
+    # the testbed or its per-node Rio devices are built shows up here.
+    assert result.rows == [
+        {"initiators": 1, "total_kiops": 495.0, "per_initiator_kiops": 495.0},
+        {"initiators": 2, "total_kiops": 493.75,
+         "per_initiator_kiops": 246.875},
+    ]

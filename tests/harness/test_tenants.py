@@ -207,18 +207,13 @@ def test_default_load_ladder_matches_saturate():
 
 
 def _mini_run(**config_kwargs):
+    from repro.cluster import Cluster
     from repro.harness.experiment import LAYOUTS
-    from repro.scale import (
-        OpenLoopConfig,
-        ScaleOutCluster,
-        ShardedStack,
-        run_open_loop,
-    )
+    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
     from repro.sim.engine import Environment
 
     env = Environment()
-    cluster = ScaleOutCluster(env, LAYOUTS["optane"], num_initiators=1,
-                              seed=7)
+    cluster = Cluster(env, LAYOUTS["optane"], seed=7)
     stack = ShardedStack(cluster, "rio", num_streams=2)
     run = run_open_loop(cluster, stack, OpenLoopConfig(
         offered_iops=40e3, tenants=2, duration=5e-4, warmup=1e-4, seed=7,

@@ -1,9 +1,11 @@
-"""ScaleOutCluster + ShardedStack: topology, sharding, steering knobs."""
+"""N-initiator Cluster + ShardedStack: topology, sharding, steering knobs."""
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.harness.experiment import LAYOUTS
-from repro.scale import ScaleOutCluster, ShardedStack
+from repro.nvmeof.initiator import DriverHardening
+from repro.scale import ShardedStack
 from repro.sim.engine import Environment
 
 SYSTEMS = ("rio", "horae", "linux", "barrier")
@@ -11,7 +13,7 @@ SYSTEMS = ("rio", "horae", "linux", "barrier")
 
 def build(layout="optane", initiators=2, **kwargs):
     env = Environment()
-    cluster = ScaleOutCluster(
+    cluster = Cluster(
         env, LAYOUTS[layout], num_initiators=initiators, seed=7, **kwargs
     )
     return env, cluster
@@ -26,7 +28,7 @@ def test_nodes_have_private_hosts_and_shared_targets():
     _env, cluster = build("2optane-2targets", initiators=3)
     assert len(cluster.nodes) == 3
     assert len(cluster.targets) == 2
-    servers = {node.server.name for node in cluster.nodes}
+    servers = {node.initiator.name for node in cluster.nodes}
     assert servers == {"initiator0", "initiator1", "initiator2"}
     drivers = {id(node.driver) for node in cluster.nodes}
     assert len(drivers) == 3  # one driver per host, never shared
@@ -39,17 +41,40 @@ def test_nodes_have_private_hosts_and_shared_targets():
 
 def test_coordinator_compat_surface_is_node_zero():
     _env, cluster = build()
-    assert cluster.initiator is cluster.nodes[0].server
+    assert cluster.initiator is cluster.nodes[0].initiator
     assert cluster.driver is cluster.nodes[0].driver
     assert cluster.namespaces is cluster.nodes[0].namespaces
+
+
+def test_every_setting_reaches_every_host_and_target():
+    """One assembly takes the union of the settings: PMR size lands on
+    every shared target and driver hardening on every host's driver."""
+    hardening = DriverHardening(command_timeout=1e-3, max_retries=2)
+    _env, cluster = build("2optane-2targets", initiators=2,
+                          pmr_size=64 * 1024, hardening=hardening)
+    assert [t.pmr.size for t in cluster.targets] == [64 * 1024] * 2
+    assert [node.driver.hardening for node in cluster.nodes] == \
+        [hardening] * 2
+
+
+def test_nodes_are_their_hosts_cluster_view():
+    """A node carries what a stack reads from a cluster, scoped to its
+    own host: shared targets, private driver and namespaces."""
+    _env, cluster = build(initiators=2)
+    for node in cluster.nodes:
+        assert node.env is cluster.env
+        assert node.costs is cluster.costs
+        assert node.targets is cluster.targets
+        assert node.cpus is node.initiator.cpus
+        assert node.volume().namespaces == node.namespaces
 
 
 def test_rejects_empty_topologies():
     env = Environment()
     with pytest.raises(ValueError):
-        ScaleOutCluster(env, LAYOUTS["optane"], num_initiators=0)
+        Cluster(env, LAYOUTS["optane"], num_initiators=0)
     with pytest.raises(ValueError):
-        ScaleOutCluster(env, [])
+        Cluster(env, [])
 
 
 def test_qp_ranges_per_host_are_contiguous():
@@ -201,7 +226,8 @@ def test_alternate_steering_policies_still_complete_in_order(steering):
 def test_qp_steering_rejects_flow_migrating_policies():
     env = Environment()
     with pytest.raises(ValueError):
-        ScaleOutCluster(env, LAYOUTS["optane"], qp_steering="round-robin")
+        Cluster(env, LAYOUTS["optane"], num_initiators=2,
+                qp_steering="round-robin")
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.harness.experiment import LAYOUTS
 from repro.scale import (
     ClosedLoopConfig,
     OpenLoopConfig,
-    ScaleOutCluster,
     ShardedStack,
     run_closed_loop,
     run_open_loop,
@@ -16,7 +16,7 @@ from repro.sim.engine import Environment
 
 def make_testbed(system="rio", initiators=2, tenants=4, **kwargs):
     env = Environment()
-    cluster = ScaleOutCluster(
+    cluster = Cluster(
         env, LAYOUTS["optane"], num_initiators=initiators, seed=11, **kwargs
     )
     stack = ShardedStack(cluster, system, num_streams=tenants)

@@ -28,22 +28,21 @@ def test_cluster_builds_paper_testbed():
     assert all(t.pmr.size == 2 * 1024 * 1024 for t in cluster.targets)
 
 
-def test_namespaces_with_profile():
-    env = Environment()
-    cluster = Cluster(env, target_ssds=((FLASH_PM981, OPTANE_905P),))
-    flash = cluster.namespaces_with_profile("PM981-flash")
-    optane = cluster.namespaces_with_profile("905P-optane")
-    assert len(flash) == 1
-    assert len(optane) == 1
-    assert flash[0].nsid == 0
-    assert optane[0].nsid == 1
-
-
 def test_volume_defaults_to_all_namespaces():
     env = Environment()
     cluster = Cluster(env, target_ssds=((OPTANE_905P, OPTANE_905P),))
     assert cluster.volume().width == 2
     assert cluster.volume(cluster.namespaces[:1]).width == 1
+
+
+def test_empty_namespace_list_is_not_the_default():
+    """An explicitly empty selection is an error, not "all namespaces"."""
+    env = Environment()
+    cluster = Cluster(env, target_ssds=((OPTANE_905P,),))
+    with pytest.raises(ValueError, match="at least one namespace"):
+        cluster.volume(cluster.namespaces[1:])
+    with pytest.raises(ValueError, match="at least one namespace"):
+        cluster.nodes[0].volume([])
 
 
 def test_num_qps_configurable():
