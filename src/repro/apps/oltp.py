@@ -139,10 +139,13 @@ def run_oltp(
     warmup: float = 1e-3,
     seed: int = 31,
 ) -> OltpResult:
-    """Run the OLTP loop and report steady-state transactions/s."""
+    """Run the OLTP loop and report steady-state transactions/s.
+
+    Warm-up and the measured window start once the database is open
+    (creating and pre-allocating its files takes a few milliseconds).
+    """
     env: Environment = cluster.env
     result = OltpResult(threads=threads)
-    end_time = warmup + duration
     holder: Dict[str, OltpDatabase] = {}
 
     def setup(env):
@@ -153,6 +156,8 @@ def run_oltp(
 
     env.run_until_event(env.process(setup(env)))
     db = holder["db"]
+    measure_from = env.now + warmup
+    end_time = measure_from + duration
 
     def worker(thread_id):
         rng = DeterministicRNG(seed).fork(f"oltp{thread_id}")
@@ -160,7 +165,7 @@ def run_oltp(
         while env.now < end_time:
             started = env.now
             yield from db.transaction(core, rng, thread_id=thread_id)
-            if started >= warmup and env.now <= end_time:
+            if started >= measure_from and env.now <= end_time:
                 result.commits += 1
 
     for thread_id in range(threads):

@@ -48,7 +48,7 @@ wires together actually do — see ``docs/architecture.md``.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.block.volume import LogicalVolume
 from repro.hw.cpu import CpuSet
@@ -71,6 +71,17 @@ __all__ = ["Cluster", "ScaleNode", "StreamDirectory"]
 
 #: 2 × 18 cores per server, as in the paper's testbed.
 DEFAULT_CORES = 36
+
+#: Counters :meth:`Cluster.counters` sums over the hosts' drivers ...
+_DRIVER_COUNTERS = (
+    "retries", "rpc_retries", "reconnects", "commands_resubmitted",
+    "commands_timed_out", "commands_requeued", "commands_fast_failed",
+    "streams_killed",
+)
+#: ... and over the targets.
+_TARGET_COUNTERS = (
+    "commands_received", "commands_shed", "duplicates_suppressed",
+)
 
 
 class StreamDirectory:
@@ -274,6 +285,30 @@ class Cluster:
         return names.index(best)
 
     # -- measurement helpers -----------------------------------------------
+
+    def counters(self) -> Dict[str, int]:
+        """Robustness counters of the whole cluster: driver counters
+        summed over the hosts (plus ``retries_suppressed`` by retry
+        budgets), target counters summed over the targets, and admission
+        sheds (``sheds`` in total, ``shed_<reason>`` per reason)."""
+        drivers = [node.driver for node in self.nodes]
+        out = {name: sum(getattr(d, name) for d in drivers)
+               for name in _DRIVER_COUNTERS}
+        out["retries_suppressed"] = sum(
+            d.retry_budget.suppressed for d in drivers
+            if d.retry_budget is not None
+        )
+        for name in _TARGET_COUNTERS:
+            out[name] = sum(getattr(t, name) for t in self.targets)
+        out["sheds"] = 0
+        for target in self.targets:
+            if target.admission is None:
+                continue
+            out["sheds"] += target.admission.shed
+            for reason, n in target.admission.shed_by_reason.items():
+                key = f"shed_{reason}"
+                out[key] = out.get(key, 0) + n
+        return out
 
     def start_cpu_window(self) -> None:
         for node in self.nodes:

@@ -36,7 +36,6 @@ from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import DeterministicRNG
 from repro.sim.trace import Tracer
-from repro.systems.base import make_stack
 
 __all__ = [
     "CHAOS_HARDENING",
@@ -47,7 +46,6 @@ __all__ = [
     "run_chaos_suite",
     "measure_degradation",
     "build_scale_fault_plan",
-    "run_scale_chaos_trial",
     "run_tenant_chaos_trial",
 ]
 
@@ -110,8 +108,7 @@ class ChaosResult:
     #: value here means commands are leaking armed timers (see
     #: ``Timeout.cancel``).
     heap_live_entries: int = 0
-    #: Multi-initiator trials only: per-node driver reconnect/retry
-    #: counts, indexed by initiator host (empty for single-host trials).
+    #: Per-host driver reconnect/retry counts, indexed by initiator host.
     node_reconnects: List[int] = field(default_factory=list)
     node_retries: List[int] = field(default_factory=list)
     #: SMART snapshot per device (``"t0/q0"`` keys) at the end of the run:
@@ -123,7 +120,7 @@ class ChaosResult:
     #: so noisy-neighbor chaos regressions can bound the quiet class's
     #: tail while the aggressor is being shed (empty for classless trials).
     class_latency: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Tenant trials only: admission sheds by reason across all targets.
+    #: Admission sheds by reason across all targets (tenant trials).
     sheds_by_reason: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -240,8 +237,20 @@ def run_chaos_trial(
     trace: bool = True,
     prefill: float = 0.0,
     plan_spec: Optional[dict] = None,
+    initiators: int = 1,
+    victim: Optional[int] = None,
+    faults: bool = True,
 ) -> ChaosResult:
     """One seeded trial: build, inject, run, audit.
+
+    The cluster has ``initiators`` hosts fanning in to the layout's
+    targets, and stream ``s`` lives on host ``s % initiators``.  Without
+    an explicit plan, ``faults`` builds one: :func:`build_fault_plan`
+    when ``victim`` is None, else a breakdown-only plan confined to host
+    ``victim``'s queue pairs (:func:`build_scale_fault_plan`), which keeps
+    the bystander hosts' paths fault-free.  ``faults=False`` runs the
+    identical seeded trial fault-free, a baseline to bound the bystanders'
+    completion times against.
 
     ``prefill`` fills that fraction of each device's logical capacity
     before the workload starts (see :meth:`NvmeSsd.prefill`) so trials on
@@ -254,6 +263,8 @@ def run_chaos_trial(
     :class:`~repro.harness.sweep.RunSpec` encoding, so spec-driven chaos
     sweeps can fan trials out across worker processes and memoize them.
     """
+    from repro.scale import ShardedStack
+
     if plan_spec is not None:
         if plan is not None:
             raise ValueError("pass plan or plan_spec, not both")
@@ -263,7 +274,8 @@ def run_chaos_trial(
         env.tracer = Tracer(categories={"fault", "driver", "rio.gate"})
     cluster = Cluster(
         env,
-        target_ssds=LAYOUTS[layout],
+        LAYOUTS[layout],
+        num_initiators=initiators,
         initiator_cores=max(threads, 2),
         target_cores=8,
         num_qps=max(threads, 2),
@@ -274,12 +286,20 @@ def run_chaos_trial(
         for target in cluster.targets:
             for ssd in target.ssds:
                 ssd.prefill(prefill)
-    stack = make_stack(system, cluster, num_streams=threads)
-    if plan is None:
-        plan = build_fault_plan(
-            seed, num_qps=max(threads, 2), num_targets=len(cluster.targets)
-        )
-    plan.install(cluster)
+    stack = ShardedStack(cluster, system, num_streams=threads)
+    if plan is None and faults:
+        if victim is None:
+            plan = build_fault_plan(
+                seed, num_qps=max(threads, 2),
+                num_targets=len(cluster.targets),
+            )
+        else:
+            qps_per_node = len(cluster.fabric.queue_pairs) // initiators
+            plan = build_scale_fault_plan(
+                seed, (victim * qps_per_node, (victim + 1) * qps_per_node),
+            )
+    if plan is not None:
+        plan.install(cluster)
 
     result = ChaosResult(
         system=system,
@@ -337,33 +357,50 @@ def run_chaos_trial(
     for stream, group, bio in bios:
         if bio.status:
             result.errors.append((stream, group, bio.status))
+    if not result.deadlocked:
+        for node in cluster.nodes:
+            try:
+                node.driver.assert_no_leaks()
+            except AssertionError as exc:
+                result.leak_error = f"node {node.index}: {exc}"
+    _audit_cluster(result, cluster, plan)
+    return result
+
+
+#: :meth:`repro.cluster.Cluster.counters` entries a ChaosResult carries.
+_RESULT_COUNTERS = (
+    "retries", "rpc_retries", "reconnects", "commands_resubmitted",
+    "commands_timed_out", "duplicates_suppressed",
+)
+
+
+def _audit_cluster(result: ChaosResult, cluster: Cluster,
+                   plan: Optional[FaultPlan]) -> None:
+    """The target-side audits, device health, fault and recovery
+    counters and trace size every chaos trial reports."""
     for target in cluster.targets:
         result.duplicate_applies.extend(target.duplicate_applies())
         result.submission_order_violations.extend(
             target.submission_order_violations()
         )
-        result.duplicates_suppressed += target.duplicates_suppressed
         for ssd in target.ssds:
             result.device_health[ssd.name] = ssd.smart()
-    if not result.deadlocked:
-        try:
-            cluster.driver.assert_no_leaks()
-        except AssertionError as exc:
-            result.leak_error = str(exc)
-
-    result.fault_counts = plan.counts()
-    result.messages_dropped = plan.messages_dropped
-    result.messages_corrupted = plan.messages_corrupted
-    result.messages_delayed = plan.messages_delayed
-    driver = cluster.driver
-    result.retries = driver.retries
-    result.rpc_retries = driver.rpc_retries
-    result.reconnects = driver.reconnects
-    result.commands_resubmitted = driver.commands_resubmitted
-    result.commands_timed_out = driver.commands_timed_out
-    if env.tracer is not None:
-        result.trace_events = len(env.tracer.events)
-    return result
+    if plan is not None:
+        result.fault_counts = plan.counts()
+        result.messages_dropped = plan.messages_dropped
+        result.messages_corrupted = plan.messages_corrupted
+        result.messages_delayed = plan.messages_delayed
+    counters = cluster.counters()
+    for name in _RESULT_COUNTERS:
+        setattr(result, name, counters[name])
+    result.sheds_by_reason = {
+        key[len("shed_"):]: float(n) for key, n in counters.items()
+        if key.startswith("shed_")
+    }
+    result.node_reconnects = [node.driver.reconnects for node in cluster.nodes]
+    result.node_retries = [node.driver.retries for node in cluster.nodes]
+    if cluster.env.tracer is not None:
+        result.trace_events = len(cluster.env.tracer.events)
 
 
 def chaos_suite_sweep(
@@ -482,7 +519,7 @@ def measure_degradation(
 
 
 # ----------------------------------------------------------------------
-# Multi-initiator (scale-out) chaos
+# Victim-host fault plans, and the tenant storm under faults
 # ----------------------------------------------------------------------
 
 
@@ -542,46 +579,14 @@ def run_tenant_chaos_trial(
     target-side audits (duplicate applies, submission order) apply
     unchanged.
     """
-    from repro.harness.tenants import (
-        _storm_class,
-        _storm_hardening,
-        _StormPlane,
-    )
-    from repro.robust.admission import (
-        AdmissionConfig,
-        AdmissionController,
-        QosClass,
-        TenantQos,
-    )
-    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
+    from repro.harness.tenants import _StormPlane, _storm_testbed
+    from repro.scale import run_open_loop
 
-    env = Environment()
-    cluster = Cluster(
-        env,
-        LAYOUTS[layout],
-        seed=seed,
-        hardening=_storm_hardening() if qos else None,
+    cluster, stack, config = _storm_testbed(
+        system, layout, gold_kiops, aggressor_kiops, aggressor_lanes,
+        aggressor_blocks, pace_kiops, qos, quantum, duration, warmup,
+        "pin", seed,
     )
-    lanes = 1 + aggressor_lanes
-    stack = ShardedStack(cluster, system, num_streams=lanes)
-    if qos:
-        tenant_qos = TenantQos(
-            (
-                QosClass("gold", weight=8.0),
-                QosClass("bronze", weight=1.0,
-                         rate_iops=pace_kiops * 1e3, burst=1.0),
-            ),
-            classifier=_storm_class,
-            quantum=quantum,
-        )
-        for target in cluster.targets:
-            target.install_admission(AdmissionController(
-                AdmissionConfig(max_inflight_ordered=128,
-                                max_inflight_unordered=128),
-                qos=tenant_qos,
-            ))
-            target.install_tenant_steering(
-                _storm_class, {"gold": (0.0, 0.2), "bronze": (0.2, 1.0)})
     plan: Optional[FaultPlan] = None
     if faults:
         # Break an aggressor lane's queue pair (gold's lane 0 pins to QP
@@ -595,190 +600,16 @@ def run_tenant_chaos_trial(
         plan.install(cluster)
 
     plane = _StormPlane()
-    run_open_loop(
-        cluster, stack,
-        OpenLoopConfig(
-            offered_iops=(gold_kiops + aggressor_kiops) * 1e3,
-            tenants=lanes, duration=duration, warmup=warmup, seed=seed,
-            weights=(gold_kiops,) + (
-                aggressor_kiops / aggressor_lanes,) * aggressor_lanes,
-            blocks=(1,) + (aggressor_blocks,) * aggressor_lanes,
-        ),
-        plane=plane,
-    )
+    run_open_loop(cluster, stack, config, plane=plane)
 
     result = ChaosResult(
-        system=system, seed=seed, threads=lanes, groups_per_thread=0,
+        system=system, seed=seed, threads=config.tenants,
+        groups_per_thread=0,
     )
-    result.elapsed = env.now
-    result.completed_groups = 0
+    result.elapsed = cluster.env.now
     result.class_latency = plane.class_summary()
-    result.heap_live_entries = env.live_heap_size()
-    for target in cluster.targets:
-        result.duplicate_applies.extend(target.duplicate_applies())
-        result.submission_order_violations.extend(
-            target.submission_order_violations()
-        )
-        result.duplicates_suppressed += target.duplicates_suppressed
-        for ssd in target.ssds:
-            result.device_health[ssd.name] = ssd.smart()
-        if target.admission is not None:
-            for reason, n in target.admission.shed_by_reason.items():
-                result.sheds_by_reason[reason] = (
-                    result.sheds_by_reason.get(reason, 0.0) + n)
-    if plan is not None:
-        result.fault_counts = plan.counts()
-        result.messages_dropped = plan.messages_dropped
-        result.messages_corrupted = plan.messages_corrupted
-        result.messages_delayed = plan.messages_delayed
-    for node in cluster.nodes:
-        result.node_reconnects.append(node.driver.reconnects)
-        result.node_retries.append(node.driver.retries)
-        result.retries += node.driver.retries
-        result.rpc_retries += node.driver.rpc_retries
-        result.reconnects += node.driver.reconnects
-        result.commands_resubmitted += node.driver.commands_resubmitted
-        result.commands_timed_out += node.driver.commands_timed_out
+    result.heap_live_entries = cluster.env.live_heap_size()
+    _audit_cluster(result, cluster, plan)
     # No group structure in an open-loop storm: per-class op counts live
     # in class_latency; `ok` reduces to the target-side audits.
-    return result
-
-
-def run_scale_chaos_trial(
-    system: str = "rio",
-    seed: int = 0,
-    layout: str = "optane",
-    initiators: int = 2,
-    victim: int = 0,
-    threads: int = 4,
-    groups_per_thread: int = 12,
-    writes_per_group: int = 2,
-    depth: int = 4,
-    limit: float = 50e-3,
-    faults: bool = True,
-    trace: bool = True,
-) -> ChaosResult:
-    """One seeded multi-initiator trial: break QPs on one host only.
-
-    Builds a sharded scale-out cluster (:mod:`repro.scale`) with
-    ``initiators`` hosts fanning in to the layout's targets, runs the
-    usual ordered workload (stream ``s`` lives on host ``s % N``), and —
-    when ``faults`` — installs a breakdown-only plan aimed at the
-    ``victim`` host's queue pairs.  ``faults=False`` runs the identical
-    seeded trial fault-free, giving tests a baseline to bound the
-    bystander hosts' completion times against.  Per-host driver activity
-    lands in ``node_reconnects`` / ``node_retries``.
-    """
-    from repro.scale import ShardedStack
-
-    env = Environment()
-    if trace:
-        env.tracer = Tracer(categories={"fault", "driver", "rio.gate"})
-    num_qps = max(threads, 2)
-    cluster = Cluster(
-        env,
-        LAYOUTS[layout],
-        num_initiators=initiators,
-        initiator_cores=max(threads, 2),
-        target_cores=8,
-        num_qps=num_qps,
-        seed=seed,
-        hardening=CHAOS_HARDENING,
-    )
-    stack = ShardedStack(cluster, system, num_streams=threads)
-    plan: Optional[FaultPlan] = None
-    if faults:
-        qps_per_node = len(cluster.fabric.queue_pairs) // initiators
-        plan = build_scale_fault_plan(
-            seed,
-            (victim * qps_per_node, (victim + 1) * qps_per_node),
-        )
-        plan.install(cluster)
-
-    result = ChaosResult(
-        system=system,
-        seed=seed,
-        threads=threads,
-        groups_per_thread=groups_per_thread,
-    )
-    total = threads * groups_per_thread
-    all_done = Event(env)
-    bios: List = []
-
-    def on_group_done(stream: int, group: int):
-        def callback(event: Event) -> None:
-            result.completion_log.append((stream, group, env.now))
-            bio = getattr(event, "bio", None)
-            if bio is not None:
-                bios.append((stream, group, bio))
-            if len(result.completion_log) == total and not all_done.triggered:
-                all_done.succeed()
-
-        return callback
-
-    for thread_id in range(threads):
-        env.process(
-            _ordered_workload(
-                env,
-                cluster,
-                stack,
-                thread_id,
-                groups_per_thread,
-                writes_per_group,
-                depth,
-                on_group_done,
-            )
-        )
-
-    try:
-        env.run_until_event(all_done, limit=limit)
-    except SimulationError as exc:  # includes SimDeadlock
-        result.deadlocked = True
-        result.deadlock_reason = f"{type(exc).__name__}: {exc}"
-
-    result.completed_groups = len(result.completion_log)
-    result.elapsed = env.now
-    result.heap_live_entries = env.live_heap_size()
-
-    # -- audits (same invariants as the single-host trial) -------------
-    if system in ("rio", "linux"):
-        per_stream: Dict[int, List[int]] = {}
-        for stream, group, _t in result.completion_log:
-            per_stream.setdefault(stream, []).append(group)
-        for stream, order in sorted(per_stream.items()):
-            if order != sorted(order):
-                result.completion_order_violations.append((stream, order))
-    for stream, group, bio in bios:
-        if bio.status:
-            result.errors.append((stream, group, bio.status))
-    for target in cluster.targets:
-        result.duplicate_applies.extend(target.duplicate_applies())
-        result.submission_order_violations.extend(
-            target.submission_order_violations()
-        )
-        result.duplicates_suppressed += target.duplicates_suppressed
-        for ssd in target.ssds:
-            result.device_health[ssd.name] = ssd.smart()
-    if not result.deadlocked:
-        for node in cluster.nodes:
-            try:
-                node.driver.assert_no_leaks()
-            except AssertionError as exc:
-                result.leak_error = f"node {node.index}: {exc}"
-
-    if plan is not None:
-        result.fault_counts = plan.counts()
-        result.messages_dropped = plan.messages_dropped
-        result.messages_corrupted = plan.messages_corrupted
-        result.messages_delayed = plan.messages_delayed
-    for node in cluster.nodes:
-        result.node_reconnects.append(node.driver.reconnects)
-        result.node_retries.append(node.driver.retries)
-        result.retries += node.driver.retries
-        result.rpc_retries += node.driver.rpc_retries
-        result.reconnects += node.driver.reconnects
-        result.commands_resubmitted += node.driver.commands_resubmitted
-        result.commands_timed_out += node.driver.commands_timed_out
-    if env.tracer is not None:
-        result.trace_events = len(env.tracer.events)
     return result

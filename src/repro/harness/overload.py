@@ -34,8 +34,7 @@ cache replays them bit-identically (spec-order reduce, as with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.harness.experiment import LAYOUTS, FigureResult, build_cluster
 from repro.harness.sweep import RunSpec, Sweep, run_sweep
@@ -43,7 +42,6 @@ from repro.harness.sweep import RunSpec, Sweep, run_sweep
 __all__ = [
     "DEFAULT_OVERLOAD_KIOPS",
     "PROTECTIONS",
-    "OverloadRun",
     "probe_overload",
     "overload_sweep",
     "overload_curves",
@@ -115,171 +113,20 @@ def _admission_config():
     )
 
 
-@dataclass
-class OverloadRun:
-    """Measured outcome of one status-aware open-loop run."""
-
-    offered_iops: float
-    elapsed: float
-    good_ops: int = 0
-    failed_ops: int = 0
-    failures_by_cause: Dict[str, int] = None
-    p50_us: float = 0.0
-    p99_us: float = 0.0
-    p999_us: float = 0.0
-
-    @property
-    def goodput_iops(self) -> float:
-        return self.good_ops / self.elapsed if self.elapsed else 0.0
-
-
-def _cause_of(status: int) -> str:
-    from repro.nvmeof.command import (
-        STATUS_BROWNOUT,
-        STATUS_DEADLINE,
-        STATUS_QFULL,
-        STATUS_TIMEOUT,
-    )
-
-    return {
-        STATUS_QFULL: "shed",
-        STATUS_TIMEOUT: "timeout",
-        STATUS_DEADLINE: "deadline",
-        STATUS_BROWNOUT: "brownout",
-    }.get(status, "error")
-
-
-def _run_status_loop(
-    cluster,
-    stack,
-    offered_iops: float,
-    tenants: int,
-    duration: float,
-    warmup: float,
-    seed: int,
-    next_lba_for=None,
-    deadline_budget: Optional[float] = None,
-    per_tenant: Optional[List] = None,
-) -> OverloadRun:
-    """Status-aware open loop: like
-    :func:`repro.scale.loadgen.run_open_loop` but completions are split
-    into goodput (every bio status 0) and failures by cause, so shedding
-    and fast-fails are visible instead of counted as throughput.
-
-    ``next_lba_for(tenant)`` optionally overrides the address generator
-    (the gray scenario pins tenants to shards by LBA congruence);
-    ``per_tenant`` optionally receives one LatencyRecorder per tenant.
-    """
-    from repro.scale.loadgen import (
-        OPEN_LOOP_INFLIGHT_CAP,
-        TENANT_AREA_BLOCKS,
-    )
-    from repro.sim.engine import Environment
-    from repro.sim.rng import DeterministicRNG
-    from repro.sim.stats import LatencyRecorder
-
-    env: Environment = cluster.env
-    end_time = warmup + duration
-    per_tenant_rate = offered_iops / tenants
-    run = OverloadRun(offered_iops=offered_iops, elapsed=duration,
-                      failures_by_cause={})
-    latency = LatencyRecorder()
-    recorders = per_tenant if per_tenant is not None else []
-    while len(recorders) < tenants:
-        recorders.append(LatencyRecorder())
-
-    def watch(tenant, arrival, events, tracker):
-        yield tracker
-        if not (warmup <= env.now <= end_time):
-            return
-        statuses = [
-            e.bio.status for e in events if getattr(e, "bio", None) is not None
-        ]
-        bad = next((s for s in statuses if s), 0)
-        if bad:
-            run.failed_ops += 1
-            cause = _cause_of(bad)
-            run.failures_by_cause[cause] = (
-                run.failures_by_cause.get(cause, 0) + 1
-            )
-            return
-        run.good_ops += 1
-        if arrival >= warmup:
-            latency.record(env.now - arrival)
-            recorders[tenant].record(env.now - arrival)
-
-    def tenant_body(tenant: int):
-        rng = DeterministicRNG(seed).fork(f"overload{tenant}")
-        core = cluster.initiator.cpus.pick(tenant)
-        if next_lba_for is not None:
-            next_lba = next_lba_for(tenant)
-        else:
-            lba_rng = rng.fork("lba")
-            base = tenant * TENANT_AREA_BLOCKS
-
-            def next_lba() -> int:
-                slot = lba_rng.randint(0, TENANT_AREA_BLOCKS // 4 - 1)
-                return base + slot * 4
-
-        arrival = 0.0
-        inflight: List = []
-        while True:
-            arrival += rng.expovariate(per_tenant_rate)
-            if arrival >= end_time:
-                return
-            if arrival > env.now:
-                yield env.timeout(arrival - env.now)
-            deadline = (
-                env.now + deadline_budget
-                if deadline_budget is not None else None
-            )
-            done = yield from stack.write_ordered(
-                core, tenant, lba=next_lba(), nblocks=1,
-                end_of_group=True, deadline=deadline,
-            )
-            events = [done]
-            tracker = env.all_of(events)
-            env.spawn(watch(tenant, arrival, events, tracker))
-            inflight.append(tracker)
-            while len(inflight) >= OPEN_LOOP_INFLIGHT_CAP:
-                yield env.any_of(inflight)
-                inflight = [t for t in inflight if not t.triggered]
-
-    def measurement():
-        yield env.timeout(warmup)
-        cluster.start_cpu_window()
-        yield env.timeout(duration)
-        cluster.stop_cpu_window()
-
-    env.process(measurement())
-    for tenant in range(tenants):
-        env.process(tenant_body(tenant))
-    env.run(until=end_time)
-    run.p50_us = latency.p50 * 1e6
-    run.p99_us = latency.p99 * 1e6
-    run.p999_us = latency.p999 * 1e6
-    return run
-
-
-def _plane_counters(cluster) -> Dict[str, float]:
-    """Aggregate robustness-plane counters over targets and drivers."""
-    received = sum(t.commands_received for t in cluster.targets)
-    shed = sum(t.commands_shed for t in cluster.targets)
-    drivers = [node.driver for node in cluster.nodes]
-    suppressed = sum(
-        d.retry_budget.suppressed for d in drivers
-        if d.retry_budget is not None
-    )
+def _counter_row(cluster) -> Dict[str, float]:
+    """The robustness-plane counters every overload and gray row reports."""
+    c = cluster.counters()
+    received, shed = c["commands_received"], c["commands_shed"]
     return {
         "commands_received": float(received),
         "commands_shed": float(shed),
         "shed_rate": shed / received if received else 0.0,
-        "timeouts": float(sum(d.commands_timed_out for d in drivers)),
-        "retries": float(sum(d.retries for d in drivers)),
-        "retries_suppressed": float(suppressed),
-        "requeues": float(sum(d.commands_requeued for d in drivers)),
-        "fast_fails": float(sum(d.commands_fast_failed for d in drivers)),
-        "dead_streams": float(sum(d.streams_killed for d in drivers)),
+        "timeouts": float(c["commands_timed_out"]),
+        "retries": float(c["retries"]),
+        "retries_suppressed": float(c["retries_suppressed"]),
+        "requeues": float(c["commands_requeued"]),
+        "fast_fails": float(c["commands_fast_failed"]),
+        "dead_streams": float(c["streams_killed"]),
     }
 
 
@@ -299,7 +146,10 @@ def probe_overload(
     Top-level and scalar-valued so the sweep runner can execute it in a
     worker process and key it in the content-addressed result cache.
     """
-    from repro.scale import ShardedStack
+    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
+    from repro.scale.loadgen import TENANT_AREA_BLOCKS
+    from repro.sim.rng import DeterministicRNG
+    from repro.sim.stats import LatencyRecorder
 
     cluster = build_cluster(layout, seed=seed, num_initiators=initiators,
                             hardening=_hardening(protection))
@@ -320,16 +170,25 @@ def probe_overload(
         yield env.timeout(warmup)
         marks["start"] = _persisted()
 
+    def next_lba_for(tenant: int):
+        # Stride 4: 1-block writes that are never LBA-consecutive.
+        rng = DeterministicRNG(seed).fork(f"overload{tenant}").fork("lba")
+        base = tenant * TENANT_AREA_BLOCKS
+        return lambda: base + rng.randint(0, TENANT_AREA_BLOCKS // 4 - 1) * 4
+
     env.process(persist_window())
-    run = _run_status_loop(
-        cluster, stack, offered_kiops * 1e3, tenants, duration, warmup, seed,
+    run = run_open_loop(
+        cluster, stack,
+        OpenLoopConfig(offered_iops=offered_kiops * 1e3, tenants=tenants,
+                       duration=duration, warmup=warmup, seed=seed),
+        next_lba_for=next_lba_for, rng_prefix="overload",
     )
+    good = LatencyRecorder.merged(run.good_latency)
     # Completed vs persisted separates real goodput from the completion
     # mirage: an unprotected driver's timeout retransmissions get
     # duplicate-acked while the original still queues in the device, so
     # completions can exceed what the media actually persists.
     persisted_kiops = (_persisted() - marks.get("start", 0.0)) / duration / 1e3
-    counters = _plane_counters(cluster)
     timeout_fails = run.failures_by_cause.get("timeout", 0)
     total_ops = run.good_ops + run.failed_ops
     goodput_kiops = run.goodput_iops / 1e3
@@ -341,11 +200,11 @@ def probe_overload(
         "good_ops": float(run.good_ops),
         "failed_ops": float(run.failed_ops),
         "timeout_rate": timeout_fails / total_ops if total_ops else 0.0,
-        "p50_us": run.p50_us,
-        "p99_us": run.p99_us,
-        "p999_us": run.p999_us,
+        "p50_us": good.p50 * 1e6,
+        "p99_us": good.p99 * 1e6,
+        "p999_us": good.p999 * 1e6,
     }
-    result.update(counters)
+    result.update(_counter_row(cluster))
     return result
 
 
@@ -494,11 +353,10 @@ def probe_gray(
     breaker on the sick target opens.
     """
     from repro.block.request import BlockRequest
-    from repro.scale import ShardedStack
+    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
     from repro.scale.loadgen import TENANT_AREA_BLOCKS
     from repro.sim.faults import FaultPlan
     from repro.sim.rng import DeterministicRNG
-    from repro.sim.stats import LatencyRecorder
 
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r} (have {sorted(LAYOUTS)})")
@@ -530,8 +388,6 @@ def probe_gray(
             return base + slot * 2 * width + member
 
         return next_lba
-
-    per_tenant: List[LatencyRecorder] = []
 
     # ---- unordered flows: health-steered driver-level writes ----
     node = cluster.nodes[0]
@@ -570,10 +426,13 @@ def probe_gray(
     for flow in range(unordered_tenants):
         env.process(unordered_body(flow))
 
-    run = _run_status_loop(
-        cluster, stack, offered_kiops * 1e3, tenants, duration, warmup, seed,
-        next_lba_for=next_lba_for, per_tenant=per_tenant,
+    run = run_open_loop(
+        cluster, stack,
+        OpenLoopConfig(offered_iops=offered_kiops * 1e3, tenants=tenants,
+                       duration=duration, warmup=warmup, seed=seed),
+        next_lba_for=next_lba_for, rng_prefix="overload",
     )
+    per_tenant = run.good_latency
 
     sick = [t for t in range(tenants) if t % width == sick_member]
     bystanders = [t for t in range(tenants) if t % width != sick_member]
@@ -587,7 +446,6 @@ def probe_gray(
     monitor = monitors[0]
     sick_name = cluster.targets[0].name
     healthy = [t.name for t in cluster.targets[1:]]
-    counters = _plane_counters(cluster)
     result = {
         "offered_kiops": offered_kiops,
         "goodput_kiops": run.goodput_iops / 1e3,
@@ -614,7 +472,7 @@ def probe_gray(
             if name != sick_name
         )),
     }
-    result.update(counters)
+    result.update(_counter_row(cluster))
     return result
 
 

@@ -98,23 +98,6 @@ def _install_qos(cluster, directory, quantum: float) -> list:
     return controllers
 
 
-def _shed_counts(cluster) -> Dict[str, float]:
-    """Aggregate admission shed counters over every target."""
-    by_reason: Dict[str, float] = {}
-    total = 0.0
-    for target in cluster.targets:
-        if target.admission is None:
-            continue
-        total += target.admission.shed
-        for reason, n in target.admission.shed_by_reason.items():
-            by_reason[reason] = by_reason.get(reason, 0.0) + n
-    return {
-        "sheds": total,
-        "shed_pace": by_reason.get("pace", 0.0),
-        "shed_wfq": by_reason.get("wfq", 0.0),
-    }
-
-
 def probe_tenants(
     system: str,
     layout: str,
@@ -185,7 +168,7 @@ def probe_tenants(
     for name, stats in plane.class_summary().items():
         for key in ("count", "p50_us", "p99_us", "p999_us"):
             row[f"{name}_{key}"] = stats[key]
-    row.update(_shed_counts(cluster))
+    row.update(_shed_row(cluster))
     return row
 
 
@@ -331,6 +314,70 @@ class _StormPlane:
         return self.accountant.summary()
 
 
+def _shed_row(cluster) -> Dict[str, float]:
+    """Admission sheds in total and by the two QoS reasons."""
+    counters = cluster.counters()
+    return {key: float(counters.get(key, 0))
+            for key in ("sheds", "shed_pace", "shed_wfq")}
+
+
+def _storm_testbed(system, layout, gold_kiops, aggressor_kiops,
+                  aggressor_lanes, aggressor_blocks, pace_kiops, qos,
+                  quantum, duration, warmup, steering, seed):
+    """The noisy-neighbor storm's cluster, sharded stack and open-loop
+    config (see :func:`probe_noisy_neighbor` for the parameters): lane 0
+    is the gold tenant, lanes 1.. the aggressor; with ``qos`` every
+    target paces the aggressor at admission and steers gold's completion
+    processing onto a private core slice."""
+    from repro.robust.admission import (
+        AdmissionConfig,
+        AdmissionController,
+        QosClass,
+        TenantQos,
+    )
+    from repro.scale import OpenLoopConfig, ShardedStack
+
+    if aggressor_lanes < 1:
+        raise ValueError("need at least one aggressor lane")
+    cluster = build_cluster(
+        layout, seed=seed, steering=steering,
+        # QFULL requeue/backoff turns target sheds into initiator-side
+        # pacing; the unprotected run has no sheds to pace (and no
+        # timeouts to mask the queueing it is meant to expose).
+        hardening=_storm_hardening() if qos else None,
+    )
+    lanes = 1 + aggressor_lanes
+    stack = ShardedStack(cluster, system, num_streams=lanes)
+    if qos:
+        tenant_qos = TenantQos(
+            (
+                QosClass("gold", weight=8.0),
+                # burst=1: a big-write token banked per lane is ~60 us of
+                # media occupancy, so idle credit must stay shallow.
+                QosClass("bronze", weight=1.0,
+                         rate_iops=pace_kiops * 1e3, burst=1.0),
+            ),
+            classifier=_storm_class,
+            quantum=quantum,
+        )
+        for target in cluster.targets:
+            target.install_admission(AdmissionController(
+                AdmissionConfig(max_inflight_ordered=128,
+                                max_inflight_unordered=128),
+                qos=tenant_qos,
+            ))
+            target.install_tenant_steering(
+                _storm_class, {"gold": (0.0, 0.2), "bronze": (0.2, 1.0)})
+    config = OpenLoopConfig(
+        offered_iops=(gold_kiops + aggressor_kiops) * 1e3,
+        tenants=lanes, duration=duration, warmup=warmup, seed=seed,
+        weights=(gold_kiops,) + (
+            aggressor_kiops / aggressor_lanes,) * aggressor_lanes,
+        blocks=(1,) + (aggressor_blocks,) * aggressor_lanes,
+    )
+    return cluster, stack, config
+
+
 def probe_noisy_neighbor(
     system: str,
     layout: str = "optane",
@@ -369,58 +416,15 @@ def probe_noisy_neighbor(
     ``qos=False`` the same seed drives the same storm through an
     unprotected target and demonstrably violates the SLO.
     """
-    from repro.robust.admission import (
-        AdmissionConfig,
-        AdmissionController,
-        QosClass,
-        TenantQos,
-    )
-    from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
+    from repro.scale import run_open_loop
 
-    if aggressor_lanes < 1:
-        raise ValueError("need at least one aggressor lane")
-    cluster = build_cluster(
-        layout, seed=seed, steering=steering,
-        # QFULL requeue/backoff turns target sheds into initiator-side
-        # pacing; the unprotected run has no sheds to pace (and no
-        # timeouts to mask the queueing it is meant to expose).
-        hardening=_storm_hardening() if qos else None,
+    cluster, stack, config = _storm_testbed(
+        system, layout, gold_kiops, aggressor_kiops, aggressor_lanes,
+        aggressor_blocks, pace_kiops, qos, quantum, duration, warmup,
+        steering, seed,
     )
-    lanes = 1 + aggressor_lanes
-    stack = ShardedStack(cluster, system, num_streams=lanes)
-    if qos:
-        tenant_qos = TenantQos(
-            (
-                QosClass("gold", weight=8.0),
-                # burst=1: a big-write token banked per lane is ~60 us of
-                # media occupancy, so idle credit must stay shallow.
-                QosClass("bronze", weight=1.0,
-                         rate_iops=pace_kiops * 1e3, burst=1.0),
-            ),
-            classifier=_storm_class,
-            quantum=quantum,
-        )
-        for target in cluster.targets:
-            target.install_admission(AdmissionController(
-                AdmissionConfig(max_inflight_ordered=128,
-                                max_inflight_unordered=128),
-                qos=tenant_qos,
-            ))
-            target.install_tenant_steering(
-                _storm_class, {"gold": (0.0, 0.2), "bronze": (0.2, 1.0)})
     plane = _StormPlane()
-    run = run_open_loop(
-        cluster, stack,
-        OpenLoopConfig(
-            offered_iops=(gold_kiops + aggressor_kiops) * 1e3,
-            tenants=lanes, duration=duration, warmup=warmup,
-            seed=seed,
-            weights=(gold_kiops,) + (
-                aggressor_kiops / aggressor_lanes,) * aggressor_lanes,
-            blocks=(1,) + (aggressor_blocks,) * aggressor_lanes,
-        ),
-        plane=plane,
-    )
+    run = run_open_loop(cluster, stack, config, plane=plane)
     summary = plane.class_summary()
     gold = summary.get("gold", {})
     bronze = summary.get("bronze", {})
@@ -452,7 +456,7 @@ def probe_noisy_neighbor(
             and row["gold_complete_ratio"] >= 0.5)
         else 0.0
     )
-    row.update(_shed_counts(cluster))
+    row.update(_shed_row(cluster))
     return row
 
 

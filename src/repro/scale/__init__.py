@@ -8,29 +8,21 @@ exercised on — an N-initiator :class:`repro.cluster.Cluster`:
   facade over per-node stacks, routing global streams to their owning
   node).  ``ScaleOutCluster`` remains another name for
   :class:`repro.cluster.Cluster`.
-* :mod:`repro.scale.loadgen` — open-loop (fixed-rate Poisson) and
-  closed-loop (think-time-bounded) per-tenant load generators that
-  drive a :class:`ShardedStack` and record completion latencies.
+* :mod:`repro.scale.loadgen` — the open-loop (fixed-rate Poisson)
+  per-tenant load generator that drives a :class:`ShardedStack` and
+  records completion latencies and statuses.
 
 The saturation experiment over this plane lives in
 :mod:`repro.harness.saturate` (``repro saturate``).
 """
 
 from repro.scale.cluster import ScaleOutCluster, ShardedStack
-from repro.scale.loadgen import (
-    ClosedLoopConfig,
-    LoadgenResult,
-    OpenLoopConfig,
-    run_closed_loop,
-    run_open_loop,
-)
+from repro.scale.loadgen import LoadgenResult, OpenLoopConfig, run_open_loop
 
 __all__ = [
     "ScaleOutCluster",
     "ShardedStack",
     "OpenLoopConfig",
-    "ClosedLoopConfig",
     "LoadgenResult",
     "run_open_loop",
-    "run_closed_loop",
 ]

@@ -1,22 +1,22 @@
-"""Open- and closed-loop load generators for the scale-out plane.
+"""The open-loop load generator for the scale-out plane.
 
-Two canonical load models from queueing practice:
+:func:`run_open_loop` offers a fixed-rate Poisson arrival process,
+independent of completions.  Latency is measured from the *intended
+arrival time*, so queueing delay counts: past the saturation knee the
+arrival queue grows and tail latency explodes — exactly the
+throughput-latency hockey stick ``repro saturate`` plots.  (The closed
+loop at fixed queue depth, like the paper's FIO jobs, is
+:func:`repro.apps.fio.run_block_workload`.)
 
-* **Open loop** (:func:`run_open_loop`) — arrivals are a fixed-rate
-  Poisson process, independent of completions.  Latency is measured from
-  the *intended arrival time*, so queueing delay counts: past the
-  saturation knee the arrival queue grows and tail latency explodes —
-  exactly the throughput-latency hockey stick ``repro saturate`` plots.
-* **Closed loop** (:func:`run_closed_loop`) — each tenant keeps a bounded
-  number of groups in flight and waits (plus exponential think time)
-  before issuing the next, so offered load self-limits to completion
-  rate, like the paper's FIO jobs at fixed queue depth.
+Completions are split by status: goodput (every bio status 0) and
+failures by cause (shed, timeout, deadline, brownout), so shedding and
+fast-fails are visible next to the all-completions throughput.
 
 Tenants reuse the :mod:`repro.apps` workload shapes (``rand``/``seq``
 write patterns and the §3.1 ``journal`` 2-block + 1-block commit shape),
 each on a private LBA area and a private stream — one tenant, one
-ordered stream, as the paper's per-thread streams.  Both generators
-drive any :class:`~repro.systems.base.OrderedStack`, including the
+ordered stream, as the paper's per-thread streams.  The generator
+drives any :class:`~repro.systems.base.OrderedStack`, including the
 sharded multi-initiator facade
 (:class:`repro.scale.cluster.ShardedStack`), which routes each tenant's
 stream to its owning initiator host.
@@ -25,18 +25,22 @@ stream to its owning initiator host.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.nvmeof.command import (
+    STATUS_BROWNOUT,
+    STATUS_DEADLINE,
+    STATUS_QFULL,
+    STATUS_TIMEOUT,
+)
 from repro.sim.engine import Environment
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import LatencyRecorder
 
 __all__ = [
     "OpenLoopConfig",
-    "ClosedLoopConfig",
     "LoadgenResult",
     "run_open_loop",
-    "run_closed_loop",
 ]
 
 #: Private LBA area per tenant, in blocks (mirrors the fio driver).
@@ -76,23 +80,6 @@ class OpenLoopConfig:
     blocks: Optional[Tuple[int, ...]] = None
 
 
-@dataclass(frozen=True)
-class ClosedLoopConfig:
-    """Think-time-bounded closed loops, one per tenant."""
-
-    tenants: int = 4
-    queue_depth: int = 1
-    #: Mean exponential think time between an ordered completion and the
-    #: next submission (0 = back-to-back).
-    think_time: float = 0.0
-    duration: float = 2e-3
-    warmup: float = 0.5e-3
-    write_blocks: int = 1
-    pattern: str = "rand"
-    durable: bool = False
-    seed: int = 1234
-
-
 @dataclass
 class LoadgenResult:
     """Measured outcome of one load-generator run."""
@@ -102,13 +89,24 @@ class LoadgenResult:
     offered_iops: float = 0.0
     ops: int = 0
     elapsed: float = 0.0
+    #: Every completion in the window, whatever its status.
     latency: LatencyRecorder = field(default_factory=LatencyRecorder)
     initiator_busy_cores: float = 0.0
     target_busy_cores: float = 0.0
+    #: ``ops`` split by status: every bio succeeded, or one failed.
+    good_ops: int = 0
+    failed_ops: int = 0
+    failures_by_cause: Dict[str, int] = field(default_factory=dict)
+    #: Per tenant: latencies of the completions counted in ``good_ops``.
+    good_latency: List[LatencyRecorder] = field(default_factory=list)
 
     @property
     def achieved_iops(self) -> float:
         return self.ops / self.elapsed if self.elapsed else 0.0
+
+    @property
+    def goodput_iops(self) -> float:
+        return self.good_ops / self.elapsed if self.elapsed else 0.0
 
     @property
     def iops_per_busy_core(self) -> float:
@@ -116,6 +114,18 @@ class LoadgenResult:
         if self.initiator_busy_cores <= 0:
             return 0.0
         return self.achieved_iops / self.initiator_busy_cores
+
+
+_CAUSES = {
+    STATUS_QFULL: "shed",
+    STATUS_TIMEOUT: "timeout",
+    STATUS_DEADLINE: "deadline",
+    STATUS_BROWNOUT: "brownout",
+}
+
+
+def _cause_of(status: int) -> str:
+    return _CAUSES.get(status, "error")
 
 
 def _validate(pattern: str, tenants: int) -> None:
@@ -143,14 +153,12 @@ def _make_lba_chooser(rng: DeterministicRNG, pattern: str, base: int,
     return next_lba
 
 
-def _issue_op(stack, core, stream, next_lba, config, tenant=None,
-              nblocks=None):
-    """Generator: issue one workload op; returns (events, nops).
+def _issue_op(stack, core, stream, next_lba, config, tenant, nblocks):
+    """Generator: issue one workload op of ``nblocks`` blocks; returns
+    (events, nops).
 
     ``tenant`` (multi-tenant plane) tags the bios with the issuing tenant
     id; None issues anonymously, exactly as before the plane existed.
-    ``nblocks`` overrides the op size (``config.blocks`` per-tenant mix);
-    None keeps ``config.write_blocks``.
     """
     extra = {} if tenant is None else {"tenant": tenant}
     if config.pattern == "journal":
@@ -165,9 +173,8 @@ def _issue_op(stack, core, stream, next_lba, config, tenant=None,
         )
         return [e1, e2], 2
     done = yield from stack.write_ordered(
-        core, stream, lba=next_lba(),
-        nblocks=config.write_blocks if nblocks is None else nblocks,
-        end_of_group=True, flush=config.durable, **extra,
+        core, stream, lba=next_lba(), nblocks=nblocks, end_of_group=True,
+        flush=config.durable, **extra,
     )
     return [done], 1
 
@@ -201,15 +208,9 @@ def _tenant_blocks(config: OpenLoopConfig) -> List[int]:
     return list(config.blocks)
 
 
-def _finish(result: LoadgenResult, cluster, config) -> LoadgenResult:
-    result.elapsed = config.duration
-    result.initiator_busy_cores = cluster.initiator_busy_cores(config.duration)
-    result.target_busy_cores = cluster.target_busy_cores(config.duration)
-    return result
-
-
-def run_open_loop(cluster, stack, config: OpenLoopConfig,
-                  plane=None) -> LoadgenResult:
+def run_open_loop(cluster, stack, config: OpenLoopConfig, plane=None,
+                  next_lba_for=None,
+                  rng_prefix: str = "loadgen-open") -> LoadgenResult:
     """Run a fixed-rate Poisson workload to the end of its window.
 
     ``plane`` (a :class:`repro.tenants.traffic.TenantTrafficPlane` or
@@ -220,6 +221,15 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     latency is recorded per class (``plane.record``).  ``plane=None`` is
     the stock anonymous generator, bit-identical to before the plane
     existed — the tenant RNG is only ever forked when a plane is given.
+
+    ``next_lba_for(tenant)`` returns a tenant's address generator in
+    place of the pattern's (the gray scenario pins tenants to shards by
+    LBA congruence).  Tenant ``t`` draws its arrivals from the RNG fork
+    named ``f"{rng_prefix}{t}"``.
+
+    ``ops``, ``latency`` and the plane count every completion in the
+    window; ``good_ops``/``failed_ops``/``failures_by_cause`` split them
+    by status and ``good_latency`` holds the good ones per tenant.
     """
     _validate(config.pattern, config.tenants)
     if config.offered_iops <= 0:
@@ -227,29 +237,50 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     env: Environment = cluster.env
     result = LoadgenResult(system=stack.name, tenants=config.tenants,
                            offered_iops=config.offered_iops)
+    result.good_latency = [LatencyRecorder() for _ in range(config.tenants)]
     end_time = config.warmup + config.duration
     rates = _tenant_rates(config)
     blocks = _tenant_blocks(config)
     peak = plane.peak_factor() if plane is not None else 1.0
 
-    def watch(arrival, nops, tracker, who=None):
+    def watch(tenant, arrival, events, nops, tracker, who):
         yield tracker
-        if config.warmup <= env.now <= end_time:
-            result.ops += nops
-            if arrival >= config.warmup:
-                result.latency.record(env.now - arrival)
-                if plane is not None and who is not None:
-                    plane.record(who, env.now - arrival)
+        now = env.now
+        if not config.warmup <= now <= end_time:
+            return
+        result.ops += nops
+        status = 0
+        for event in events:
+            bio = getattr(event, "bio", None)
+            if bio is not None and bio.status:
+                status = bio.status
+                break
+        if status:
+            result.failed_ops += nops
+            cause = _cause_of(status)
+            result.failures_by_cause[cause] = (
+                result.failures_by_cause.get(cause, 0) + nops)
+        else:
+            result.good_ops += nops
+        if arrival >= config.warmup:
+            latency = now - arrival
+            result.latency.record(latency)
+            if not status:
+                result.good_latency[tenant].record(latency)
+            if plane is not None and who is not None:
+                plane.record(who, latency)
 
     def tenant_body(tenant: int):
-        rng = DeterministicRNG(config.seed).fork(f"loadgen-open{tenant}")
+        rng = DeterministicRNG(config.seed).fork(f"{rng_prefix}{tenant}")
         plane_rng = rng.fork("tenant-plane") if plane is not None else None
         core = cluster.initiator.cpus.pick(tenant)
-        op_blocks = 3 if config.pattern == "journal" else blocks[tenant]
-        next_lba = _make_lba_chooser(
-            rng.fork("lba"), config.pattern,
-            tenant * TENANT_AREA_BLOCKS, op_blocks,
-        )
+        if next_lba_for is not None:
+            next_lba = next_lba_for(tenant)
+        else:
+            next_lba = _make_lba_chooser(
+                rng.fork("lba"), config.pattern, tenant * TENANT_AREA_BLOCKS,
+                3 if config.pattern == "journal" else blocks[tenant],
+            )
         arrival = 0.0
         inflight: List = []
         while True:
@@ -268,7 +299,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
                 nblocks=blocks[tenant],
             )
             tracker = env.all_of(events)
-            env.spawn(watch(arrival, nops, tracker, who))
+            env.spawn(watch(tenant, arrival, events, nops, tracker, who))
             inflight.append(tracker)
             while len(inflight) >= OPEN_LOOP_INFLIGHT_CAP:
                 yield env.any_of(inflight)
@@ -284,67 +315,7 @@ def run_open_loop(cluster, stack, config: OpenLoopConfig,
     for tenant in range(config.tenants):
         env.process(tenant_body(tenant))
     env.run(until=end_time)
-    return _finish(result, cluster, config)
-
-
-def run_closed_loop(cluster, stack, config: ClosedLoopConfig,
-                    plane=None) -> LoadgenResult:
-    """Run think-time-bounded closed loops to the end of their window.
-
-    ``plane`` layers tenant identity over the loops (Zipf member pick and
-    per-class latency accounting, as in :func:`run_open_loop`); diurnal
-    thinning does not apply — a closed loop's rate is completion-bound.
-    """
-    _validate(config.pattern, config.tenants)
-    if config.queue_depth < 1:
-        raise ValueError("queue_depth must be >= 1")
-    env: Environment = cluster.env
-    result = LoadgenResult(system=stack.name, tenants=config.tenants)
-    end_time = config.warmup + config.duration
-    op_blocks = 3 if config.pattern == "journal" else config.write_blocks
-
-    def watch(issued_at, nops, tracker, who=None):
-        yield tracker
-        if config.warmup <= env.now <= end_time:
-            result.ops += nops
-            if issued_at >= config.warmup:
-                result.latency.record(env.now - issued_at)
-                if plane is not None and who is not None:
-                    plane.record(who, env.now - issued_at)
-
-    def tenant_body(tenant: int):
-        rng = DeterministicRNG(config.seed).fork(f"loadgen-closed{tenant}")
-        plane_rng = rng.fork("tenant-plane") if plane is not None else None
-        core = cluster.initiator.cpus.pick(tenant)
-        next_lba = _make_lba_chooser(
-            rng.fork("lba"), config.pattern,
-            tenant * TENANT_AREA_BLOCKS, op_blocks,
-        )
-        inflight: List = []
-        while env.now < end_time:
-            issued_at = env.now
-            who = plane.pick(tenant, plane_rng) if plane is not None else None
-            events, nops = yield from _issue_op(
-                stack, core, tenant, next_lba, config, tenant=who
-            )
-            tracker = env.all_of(events)
-            env.spawn(watch(issued_at, nops, tracker, who))
-            inflight.append(tracker)
-            while len(inflight) >= config.queue_depth:
-                head = inflight.pop(0)
-                if not head.triggered:
-                    yield head
-            if config.think_time > 0:
-                yield env.timeout(rng.expovariate(1.0 / config.think_time))
-
-    def measurement():
-        yield env.timeout(config.warmup)
-        cluster.start_cpu_window()
-        yield env.timeout(config.duration)
-        cluster.stop_cpu_window()
-
-    env.process(measurement())
-    for tenant in range(config.tenants):
-        env.process(tenant_body(tenant))
-    env.run(until=end_time)
-    return _finish(result, cluster, config)
+    result.elapsed = config.duration
+    result.initiator_busy_cores = cluster.initiator_busy_cores(config.duration)
+    result.target_busy_cores = cluster.target_busy_cores(config.duration)
+    return result

@@ -44,6 +44,14 @@ class LatencyRecorder:
             raise ValueError(f"negative latency: {latency}")
         self._samples.append(latency)
 
+    @classmethod
+    def merged(cls, recorders) -> "LatencyRecorder":
+        """One recorder holding every sample of ``recorders``."""
+        out = cls()
+        for recorder in recorders:
+            out._samples.extend(recorder._samples)
+        return out
+
     @property
     def count(self) -> int:
         return len(self._samples)

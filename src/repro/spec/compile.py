@@ -132,6 +132,7 @@ def _run_claims(spec: ScenarioSpec) -> ScenarioOutcome:
 
 def _chaos_trial_kwargs(spec: ScenarioSpec) -> dict:
     workload = spec.workload
+    initiators = spec.topology["initiators"]
     return _nondefault(
         {
             "layout": spec.topology["layout"],
@@ -140,52 +141,34 @@ def _chaos_trial_kwargs(spec: ScenarioSpec) -> dict:
             "writes_per_group": workload["writes_per_group"],
             "depth": workload["depth"],
             "limit": workload["limit"],
+            "prefill": spec.devices["prefill"],
+            "plan_spec": spec.faults,
+            "initiators": initiators,
+            # One host takes the seeded random plan; with more, the faults
+            # hit the victim host only.
+            "victim": workload["victim"] if initiators > 1 else None,
         },
         {
             "layout": "optane", "threads": 4, "groups_per_thread": 12,
             "writes_per_group": 2, "depth": 4, "limit": 50e-3,
+            "prefill": 0.0, "plan_spec": None, "initiators": 1,
+            "victim": None,
         },
     )
 
 
 def _run_chaos(spec: ScenarioSpec) -> ScenarioOutcome:
-    from repro.harness.chaos import (
-        chaos_suite_sweep,
-        run_scale_chaos_trial,
-    )
-    from repro.harness.sweep import RunSpec, get_runner
+    from repro.harness.chaos import chaos_suite_sweep
+    from repro.harness.sweep import get_runner
 
     workload = spec.workload
-    trial_kwargs = _chaos_trial_kwargs(spec)
-    runner = get_runner()
-    if spec.topology["initiators"] > 1:
-        specs = [
-            RunSpec.make(
-                run_scale_chaos_trial,
-                label=f"chaos/{system}/x{spec.topology['initiators']}"
-                      f"/seed{workload['base_seed'] + i}",
-                system=system,
-                seed=workload["base_seed"] + i,
-                initiators=spec.topology["initiators"],
-                victim=workload["victim"],
-                **trial_kwargs,
-            )
-            for system in workload["systems"]
-            for i in range(workload["trials"])
-        ]
-        results = runner.map(specs)
-    else:
-        if spec.devices["prefill"] > 0:
-            trial_kwargs["prefill"] = spec.devices["prefill"]
-        if spec.faults is not None:
-            trial_kwargs["plan_spec"] = spec.faults
-        sweep = chaos_suite_sweep(
-            systems=tuple(workload["systems"]),
-            trials=workload["trials"],
-            base_seed=workload["base_seed"],
-            **trial_kwargs,
-        )
-        results = runner.map(sweep.specs)
+    sweep = chaos_suite_sweep(
+        systems=tuple(workload["systems"]),
+        trials=workload["trials"],
+        base_seed=workload["base_seed"],
+        **_chaos_trial_kwargs(spec),
+    )
+    results = get_runner().map(sweep.specs)
 
     suite = ChaosSuiteResult(results=results)
     reproducers = [

@@ -1,0 +1,39 @@
+"""The chaos trial, pinned: single- and multi-initiator trials produce
+exactly the completion logs and summaries recorded here."""
+
+import hashlib
+
+from repro.harness import chaos
+
+
+def trial_digest(result) -> str:
+    """Digest of a trial's completion log (stream, group, exact time)
+    and its one-line summary (fault counts, recovery counters)."""
+    text = repr((result.completion_log, result.summary()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def scale_trial(faults):
+    """Two initiator hosts, QP breakdowns confined to host 0."""
+    return chaos.run_chaos_trial(system="rio", seed=4242, initiators=2,
+                                 victim=0, faults=faults)
+
+
+def test_single_initiator_trial_is_pinned():
+    result = chaos.run_chaos_trial(system="rio", seed=1001)
+    assert result.ok, result.summary()
+    assert trial_digest(result) == "6a1025cbdac37128"
+
+
+def test_victim_trial_is_pinned():
+    result = scale_trial(faults=True)
+    assert result.ok, result.summary()
+    assert result.node_reconnects == [2, 0]
+    assert trial_digest(result) == "56f1b3a413f24668"
+
+
+def test_fault_free_multi_initiator_trial_is_pinned():
+    result = scale_trial(faults=False)
+    assert result.ok, result.summary()
+    assert result.node_reconnects == [0, 0]
+    assert trial_digest(result) == "781094f7d463430e"

@@ -151,3 +151,54 @@ def test_overload_curves_uses_default_runner():
     result = overload_curves(systems=("rio",), loads_kiops=(200,),
                              duration=5e-4)
     assert len(result.rows) == 2  # off + full at one load
+
+
+#: Whole rows of `probe_overload("rio", "optane", 1100, p, duration=1e-3)`
+#: and `probe_gray(duration=2e-3, degrade_at=0.5e-3)`, pinned exactly:
+#: any change to the open-loop generator that moves a single op, status
+#: or latency sample changes one of these values.
+PINNED_OVERLOAD_ROWS = {
+    "full": {
+        "offered_kiops": 1100, "goodput_kiops": 511.0,
+        "persisted_kiops": 512.0, "completion_debt_kiops": -1.0,
+        "good_ops": 511.0, "failed_ops": 0.0, "timeout_rate": 0.0,
+        "p50_us": 646.5848512912328, "p99_us": 855.5420459421076,
+        "p999_us": 985.9612555424052, "commands_received": 1073.0,
+        "commands_shed": 193.0, "shed_rate": 0.1798695246971109,
+        "timeouts": 0.0, "retries": 0.0, "retries_suppressed": 0.0,
+        "requeues": 840.0, "fast_fails": 0.0, "dead_streams": 0.0,
+    },
+    "off": {
+        "offered_kiops": 1100, "goodput_kiops": 1055.0,
+        "persisted_kiops": 512.0, "completion_debt_kiops": 543.0,
+        "good_ops": 1055.0, "failed_ops": 0.0, "timeout_rate": 0.0,
+        "p50_us": 138.25668562950435, "p99_us": 242.13343805017064,
+        "p999_us": 245.8046437185539, "commands_received": 3041.0,
+        "commands_shed": 0.0, "shed_rate": 0.0, "timeouts": 0.0,
+        "retries": 1474.0, "retries_suppressed": 0.0, "requeues": 0.0,
+        "fast_fails": 0.0, "dead_streams": 0.0,
+    },
+}
+
+PINNED_GRAY_ROW = {
+    "offered_kiops": 120, "goodput_kiops": 76.0, "failed_ops": 96.0,
+    "brownouts": 96.0, "bystander_p999_us": 31.133720512154742,
+    "sick_tenants_active": 2.0, "breaker_trips": 1.0,
+    "sick_breaker_open": 1.0, "healthy_breakers_closed": 1.0,
+    "failovers": 2.0, "unordered_good": 64.0, "unordered_failed": 0.0,
+    "unordered_on_sick": 17.0, "unordered_on_healthy": 47.0,
+    "commands_received": 376.0, "commands_shed": 0.0, "shed_rate": 0.0,
+    "timeouts": 0.0, "retries": 0.0, "retries_suppressed": 0.0,
+    "requeues": 0.0, "fast_fails": 96.0, "dead_streams": 2.0,
+}
+
+
+@pytest.mark.parametrize("protection", sorted(PINNED_OVERLOAD_ROWS))
+def test_overload_row_is_pinned(protection):
+    row = probe_overload("rio", "optane", 1100, protection, duration=1e-3)
+    assert row == PINNED_OVERLOAD_ROWS[protection]
+
+
+def test_gray_row_is_pinned():
+    row = probe_gray(duration=2e-3, degrade_at=0.5e-3)
+    assert row == PINNED_GRAY_ROW

@@ -1,16 +1,12 @@
-"""Open/closed-loop load generators: rates, latency accounting, shapes."""
+"""The open-loop load generator: rates, latency accounting, shapes."""
 
 import pytest
 
+from repro.block.request import Bio
 from repro.cluster import Cluster
 from repro.harness.experiment import LAYOUTS
-from repro.scale import (
-    ClosedLoopConfig,
-    OpenLoopConfig,
-    ShardedStack,
-    run_closed_loop,
-    run_open_loop,
-)
+from repro.scale import OpenLoopConfig, ShardedStack, run_open_loop
+from repro.nvmeof.command import STATUS_QFULL
 from repro.sim.engine import Environment
 
 
@@ -114,35 +110,37 @@ def test_open_loop_rejects_bad_config():
         ))
 
 
-# ----------------------------------------------------------------------
-# Closed loop
-# ----------------------------------------------------------------------
+class StatusStack:
+    """Completes each write 10 us after issue, every third one shed."""
+
+    name = "status-stub"
+
+    def __init__(self, env):
+        self.env = env
+        self.writes = 0
+
+    def write_ordered(self, core, stream, lba, nblocks, end_of_group=True,
+                      flush=False, tenant=None):
+        self.writes += 1
+        done = self.env.timeout(10e-6)
+        done.bio = Bio(op="write", lba=lba, nblocks=nblocks, stream_id=stream)
+        if self.writes % 3 == 0:
+            done.bio.status = STATUS_QFULL
+        return done
+        yield  # a generator, like every stack's write_ordered
 
 
-def test_closed_loop_self_limits_to_completion_rate():
-    cluster, stack = make_testbed()
-    run = run_closed_loop(cluster, stack, ClosedLoopConfig(
-        queue_depth=4, duration=1e-3, seed=3,
+def test_open_loop_splits_completions_by_status():
+    cluster = Cluster(Environment(), LAYOUTS["optane"], seed=11)
+    run = run_open_loop(cluster, StatusStack(cluster.env), OpenLoopConfig(
+        offered_iops=200_000, tenants=2, duration=1e-3, seed=4,
     ))
-    assert run.ops > 0
-    assert run.latency.count > 0
-    assert run.achieved_iops > 0
-    assert run.initiator_busy_cores > 0
-
-
-def test_closed_loop_think_time_lowers_throughput():
-    cluster, stack = make_testbed()
-    eager = run_closed_loop(cluster, stack, ClosedLoopConfig(
-        queue_depth=1, duration=1e-3, seed=3,
-    ))
-    cluster, stack = make_testbed()
-    thinking = run_closed_loop(cluster, stack, ClosedLoopConfig(
-        queue_depth=1, think_time=50e-6, duration=1e-3, seed=3,
-    ))
-    assert thinking.achieved_iops < eager.achieved_iops
-
-
-def test_closed_loop_rejects_zero_depth():
-    cluster, stack = make_testbed()
-    with pytest.raises(ValueError):
-        run_closed_loop(cluster, stack, ClosedLoopConfig(queue_depth=0))
+    assert run.good_ops > 0 and run.failed_ops > 0
+    assert run.good_ops + run.failed_ops == run.ops
+    assert run.failures_by_cause == {"shed": run.failed_ops}
+    assert run.goodput_iops == run.good_ops / run.elapsed
+    # `latency` holds every completion; `good_latency` only the good
+    # ones, per tenant.
+    assert len(run.good_latency) == 2
+    good = sum(recorder.count for recorder in run.good_latency)
+    assert 0 < good < run.latency.count
