@@ -540,7 +540,8 @@ def main(argv=None) -> int:
     qual.add_argument("--format", choices=("table", "markdown"),
                       default="table", help="output format")
     trace = sub.add_parser(
-        "trace", help="export request-lifecycle spans as a Chrome trace"
+        "trace", help="export request-lifecycle spans and decision events "
+        "as a Chrome trace"
     )
     trace.add_argument("--fs", default="riofs",
                        choices=("ext4", "horaefs", "riofs"),
@@ -823,10 +824,8 @@ def main(argv=None) -> int:
         )
 
         probe = traced_fsync_run(args.fs, layout=args.layout,
-                                 iterations=args.iterations,
-                                 with_tracer=True)
-        doc = write_chrome_trace(probe.obs, args.out,
-                                 tracer=probe.env.tracer)
+                                 iterations=args.iterations)
+        doc = write_chrome_trace(probe.obs, args.out)
         if args.validate:
             validate_chrome_trace(doc)
             print("trace_event schema: OK")

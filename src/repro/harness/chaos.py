@@ -29,13 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.block.request import Bio
 from repro.cluster import Cluster
 from repro.harness.experiment import LAYOUTS
 from repro.nvmeof.initiator import DriverHardening
 from repro.sim.engine import Environment, Event, SimulationError
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import DeterministicRNG
-from repro.sim.trace import Tracer
 
 __all__ = [
     "CHAOS_HARDENING",
@@ -102,7 +102,6 @@ class ChaosResult:
     commands_resubmitted: int = 0
     commands_timed_out: int = 0
     duplicates_suppressed: int = 0
-    trace_events: int = 0
     #: Live (non-cancelled) event-heap entries at the end of the run.
     #: Completed watchdog arms must disarm their expiry timeouts; a large
     #: value here means commands are leaking armed timers (see
@@ -195,28 +194,25 @@ def _ordered_workload(
     groups: int,
     writes_per_group: int,
     depth: int,
-    on_group_done,
+    on_write_done,
 ):
     """Generator: issue ``groups`` ordered groups on one stream, keeping at
-    most ``depth`` groups in flight (Rio pipelines; Linux chains anyway)."""
+    most ``depth`` groups in flight (Rio pipelines; Linux chains anyway).
+    Every write's completion calls ``on_write_done(stream, group, bio,
+    last)``, ``last`` marking the group's final write."""
     core = cluster.initiator.cpus.pick(thread_id)
     base = thread_id * STREAM_AREA_BLOCKS
     inflight: List[Event] = []
     for group in range(groups):
-        last_event: Optional[Event] = None
         for w in range(writes_per_group):
             last = w == writes_per_group - 1
-            last_event = yield from stack.write_ordered(
-                core,
-                thread_id,
-                lba=base + (group * writes_per_group + w) * 2,
-                nblocks=1,
-                end_of_group=last,
-                kick=last,
+            bio = Bio(op="write", nblocks=1, stream_id=thread_id,
+                      lba=base + (group * writes_per_group + w) * 2)
+            event = yield from stack.submit_ordered(
+                core, bio, end_of_group=last, kick=last,
             )
-        assert last_event is not None
-        last_event.callbacks.append(on_group_done(thread_id, group))
-        inflight.append(last_event)
+            event.callbacks.append(on_write_done(thread_id, group, bio, last))
+        inflight.append(event)
         while len(inflight) >= depth:
             yield inflight.pop(0)
     for event in inflight:
@@ -234,7 +230,6 @@ def run_chaos_trial(
     depth: int = 4,
     plan: Optional[FaultPlan] = None,
     limit: float = 50e-3,
-    trace: bool = True,
     prefill: float = 0.0,
     plan_spec: Optional[dict] = None,
     initiators: int = 1,
@@ -270,8 +265,6 @@ def run_chaos_trial(
             raise ValueError("pass plan or plan_spec, not both")
         plan = FaultPlan.from_dict(plan_spec)
     env = Environment()
-    if trace:
-        env.tracer = Tracer(categories={"fault", "driver", "rio.gate"})
     cluster = Cluster(
         env,
         LAYOUTS[layout],
@@ -307,17 +300,18 @@ def run_chaos_trial(
         threads=threads,
         groups_per_thread=groups_per_thread,
     )
-    total = threads * groups_per_thread
+    # Unordered stacks complete a group's writes in any order, so the run
+    # is done when every write has completed, not every group's last one.
+    total_writes = threads * groups_per_thread * writes_per_group
     all_done = Event(env)
     bios: List = []
 
-    def on_group_done(stream: int, group: int):
-        def callback(event: Event) -> None:
-            result.completion_log.append((stream, group, env.now))
-            bio = getattr(event, "bio", None)
-            if bio is not None:
-                bios.append((stream, group, bio))
-            if len(result.completion_log) == total and not all_done.triggered:
+    def on_write_done(stream: int, group: int, bio, last: bool):
+        def callback(_event: Event) -> None:
+            if last:
+                result.completion_log.append((stream, group, env.now))
+            bios.append((stream, group, bio))
+            if len(bios) == total_writes and not all_done.triggered:
                 all_done.succeed()
 
         return callback
@@ -332,7 +326,7 @@ def run_chaos_trial(
                 groups_per_thread,
                 writes_per_group,
                 depth,
-                on_group_done,
+                on_write_done,
             )
         )
 
@@ -377,7 +371,7 @@ _RESULT_COUNTERS = (
 def _audit_cluster(result: ChaosResult, cluster: Cluster,
                    plan: Optional[FaultPlan]) -> None:
     """The target-side audits, device health, fault and recovery
-    counters and trace size every chaos trial reports."""
+    counters every chaos trial reports."""
     for target in cluster.targets:
         result.duplicate_applies.extend(target.duplicate_applies())
         result.submission_order_violations.extend(
@@ -399,8 +393,6 @@ def _audit_cluster(result: ChaosResult, cluster: Cluster,
     }
     result.node_reconnects = [node.driver.reconnects for node in cluster.nodes]
     result.node_retries = [node.driver.retries for node in cluster.nodes]
-    if cluster.env.tracer is not None:
-        result.trace_events = len(cluster.env.tracer.events)
 
 
 def chaos_suite_sweep(

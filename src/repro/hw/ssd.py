@@ -581,7 +581,6 @@ class NvmeSsd:
                 obs.spans.close(span, lost=1)
             return  # crashed while in flight: never complete
         self.commands_served += 1
-        self.env.trace("ssd", io.op, dev=self.name, lba=io.lba, n=io.nblocks)
         if span is not None:
             obs.spans.close(span)
         done.succeed(io)

@@ -5,8 +5,10 @@ software model in the reproduction runs on: a classic event-heap scheduler
 (:class:`~repro.sim.engine.Environment`), generator-based cooperative
 processes (:class:`~repro.sim.engine.Process`), synchronization primitives
 (events, timeouts, ``all_of``/``any_of`` conditions), queueing primitives
-(:class:`~repro.sim.resources.Store`, :class:`~repro.sim.resources.Resource`)
-and measurement helpers (:mod:`repro.sim.stats`).
+(:class:`~repro.sim.resources.Store`, :class:`~repro.sim.resources.Resource`),
+measurement helpers (:mod:`repro.sim.stats`), the fault plane
+(:mod:`repro.sim.faults`) and the one observability hook, ``env.obs``
+(:mod:`repro.sim.obs`: spans, metrics and ``env.trace`` instant events).
 
 The design deliberately mirrors the SimPy programming model (``yield
 env.timeout(...)``), implemented from scratch so the reproduction has no
@@ -26,7 +28,6 @@ from repro.sim.faults import FaultPlan, FaultRecord
 from repro.sim.resources import Resource, Store
 from repro.sim.rng import DeterministicRNG
 from repro.sim.stats import BusyTracker, Counter, LatencyRecorder, ThroughputMeter
-from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
     "Environment",
@@ -45,6 +46,4 @@ __all__ = [
     "Counter",
     "LatencyRecorder",
     "ThroughputMeter",
-    "TraceEvent",
-    "Tracer",
 ]

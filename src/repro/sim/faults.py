@@ -19,7 +19,8 @@ RNG draws and no extra event scheduling: the fault plane is free when
 inactive, and all pre-existing RNG streams are untouched either way.
 
 Every injected fault is appended to :attr:`FaultPlan.injected` and emitted
-on the tracer (category ``"fault"``) with its cause and virtual timestamp.
+as an ``env.obs`` instant event (category ``"fault"``) with its cause and
+virtual timestamp.
 
 This module deliberately knows nothing about the upper layers: ``install``
 takes any cluster-shaped object (``env``, ``fabric``, ``targets``) and the
@@ -318,7 +319,8 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def record(self, kind: str, **detail) -> None:
-        """Log one injected fault (list + tracer, with virtual timestamp)."""
+        """Log one injected fault (list + instant event, with virtual
+        timestamp)."""
         now = self.env.now if self.env is not None else 0.0
         self.injected.append(FaultRecord(time=now, kind=kind, detail=detail))
         if self.env is not None:

@@ -2,8 +2,8 @@
 
 The Chrome trace uses the JSON Object Format (``{"traceEvents": [...]}``)
 with complete ("X") events — one per closed span, timestamps in
-microseconds as the format requires — plus instant ("i") events for any
-attached :class:`~repro.sim.trace.Tracer` and process-name metadata so
+microseconds as the format requires — plus instant ("i") events for the
+observability's ``env.trace`` decisions and process-name metadata so
 ``chrome://tracing`` / Perfetto group rows by host (initiator vs each
 target).  ``pid`` is the host a span ran on; ``tid`` is the stream or
 queue pair when known.
@@ -82,12 +82,12 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def chrome_trace(obs, tracer=None) -> Dict[str, Any]:
+def chrome_trace(obs) -> Dict[str, Any]:
     """Build a Chrome ``trace_event`` document from an
     :class:`~repro.sim.obs.Observability` (open spans are skipped —
     export after the workload has quiesced)."""
     events: List[Dict[str, Any]] = []
-    hosts = set()
+    hosts = {"sim"}  # the pid of instant events
     for span in obs.spans.spans:
         if not span.closed:
             continue
@@ -107,19 +107,17 @@ def chrome_trace(obs, tracer=None) -> Dict[str, Any]:
             "tid": _span_tid(span),
             "args": args,
         })
-    if tracer is not None:
-        for event in tracer.events:
-            events.append({
-                "name": f"{event.category}.{event.event}",
-                "cat": event.category,
-                "ph": "i",
-                "s": "g",
-                "ts": event.time * 1e6,
-                "pid": "sim",
-                "tid": 0,
-                "args": {k: _jsonable(v) for k, v in event.fields},
-            })
-        hosts.add("sim")
+    for event in obs.events:
+        events.append({
+            "name": f"{event.category}.{event.event}",
+            "cat": event.category,
+            "ph": "i",
+            "s": "g",
+            "ts": event.time * 1e6,
+            "pid": "sim",
+            "tid": 0,
+            "args": {k: _jsonable(v) for k, v in event.fields},
+        })
     metadata = [
         {"name": "process_name", "ph": "M", "ts": 0, "pid": host, "tid": 0,
          "args": {"name": host}}
@@ -128,8 +126,8 @@ def chrome_trace(obs, tracer=None) -> Dict[str, Any]:
     return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(obs, path: str, tracer=None) -> Dict[str, Any]:
-    doc = chrome_trace(obs, tracer=tracer)
+def write_chrome_trace(obs, path: str) -> Dict[str, Any]:
+    doc = chrome_trace(obs)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
     return doc

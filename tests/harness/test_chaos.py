@@ -3,6 +3,8 @@ exactly the completion logs and summaries recorded here."""
 
 import hashlib
 
+import pytest
+
 from repro.harness import chaos
 
 
@@ -37,3 +39,14 @@ def test_fault_free_multi_initiator_trial_is_pinned():
     assert result.ok, result.summary()
     assert result.node_reconnects == [0, 0]
     assert trial_digest(result) == "781094f7d463430e"
+
+
+@pytest.mark.parametrize("system", ["barrier", "orderless"])
+@pytest.mark.parametrize("seed", [1000, 1001])
+def test_unordered_stack_trial_waits_for_every_write(system, seed):
+    """Unordered stacks complete a group's writes in any order: the trial
+    must audit leaks only once every write (not every group's last one)
+    has completed."""
+    result = chaos.run_chaos_trial(system=system, seed=seed)
+    assert result.leak_error == "", result.leak_error
+    assert result.ok, result.summary()

@@ -149,7 +149,7 @@ def test_entry_point_matches_explicit_sweep_under_parallel_runner():
 
 def test_parallel_chaos_suite_matches_inline(tmp_path):
     kwargs = dict(systems=("rio",), trials=2, base_seed=77,
-                  groups_per_thread=4, trace=False)
+                  groups_per_thread=4)
     inline = run_chaos_suite(**kwargs)
     fanned = run_chaos_suite(jobs=2, **kwargs)
     assert [r.summary() for r in inline] == [r.summary() for r in fanned]

@@ -17,14 +17,12 @@ from repro.sim.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture
 def small_run():
     """A tiny hand-built span forest: two hosts, one open span."""
     env = Environment()
-    env.tracer = Tracer()
     obs = Observability(env)
 
     def script():
@@ -43,7 +41,7 @@ def small_run():
 
 def test_chrome_trace_structure(small_run):
     env, obs = small_run
-    doc = chrome_trace(obs, tracer=env.tracer)
+    doc = chrome_trace(obs)
     validate_chrome_trace(doc)
     events = doc["traceEvents"]
     x = [e for e in events if e["ph"] == "X"]
@@ -62,11 +60,14 @@ def test_chrome_trace_structure(small_run):
     svc = next(e for e in x if e["name"] == "ssd.service")
     assert svc["tid"] == "target0-ssd0"
     assert svc["args"]["parent"] == mq["args"]["sid"]
-    # process_name metadata for every host (incl. "sim" for tracer events).
+    # process_name metadata for every host (incl. "sim" for instant events).
     assert {e["args"]["name"] for e in meta} == {"initiator", "target0",
                                                 "sim"}
-    # Tracer instant events ride along (span open/close mirrors + ssd.write).
-    assert any(e["name"] == "ssd.write" for e in inst)
+    # The env.trace instant event rides along, and only it: spans are not
+    # mirrored as instant events.
+    assert [(e["name"], e["args"]) for e in inst] == [("ssd.write",
+                                                       {"lba": 8})]
+    assert inst[0]["ts"] == 0.0
     assert doc["displayTimeUnit"] == "ms"
 
 

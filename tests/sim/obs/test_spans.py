@@ -6,7 +6,6 @@ from repro.sim.engine import Environment
 from repro.sim.obs import Observability
 from repro.sim.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.obs.spans import SpanRecorder
-from repro.sim.trace import Tracer
 
 
 def drive(env, script):
@@ -19,8 +18,9 @@ def test_observability_attaches_and_detaches():
     obs = Observability(env)
     assert env.obs is obs
     assert obs.spans.metrics is obs.metrics
-    obs.detach()
-    assert env.obs is None
+    env.obs = None  # detaching is clearing the hook
+    env.trace("fault", "drop")
+    assert obs.events == []
 
 
 def test_span_open_close_and_queries():
@@ -114,9 +114,8 @@ def test_capacity_drops_but_keeps_live_spans():
     assert all(span.closed for span in spans)
 
 
-def test_span_close_feeds_histogram_and_tracer():
+def test_span_close_feeds_histogram():
     env = Environment()
-    env.tracer = Tracer()
     obs = Observability(env)
 
     def script():
@@ -128,9 +127,6 @@ def test_span_close_feeds_histogram_and_tracer():
     histo = obs.metrics.histograms["span.ssd.service.seconds"]
     assert histo.count == 1
     assert histo.mean == pytest.approx(2e-6)
-    counts = env.tracer.counts()
-    assert counts["span.open"] == 1
-    assert counts["span.close"] == 1
 
 
 def test_metrics_counters_gauges_snapshot():

@@ -1,59 +1,43 @@
-"""Tests for the opt-in tracing facility."""
+"""Tests for ``env.trace`` instant events on the observability hook."""
 
-import pytest
+from collections import Counter
 
 from repro.cluster import Cluster
 from repro.core.api import RioDevice
 from repro.hw.ssd import OPTANE_905P
 from repro.sim import Environment
-from repro.sim.trace import TraceEvent, Tracer
+from repro.sim.obs import InstantEvent, Observability
 
 
-def test_tracer_records_events():
-    tracer = Tracer()
-    tracer.emit(1.0e-6, "ssd", "write", dev="ssd0", lba=5)
-    assert len(tracer.events) == 1
-    event = tracer.events[0]
+def test_trace_records_instant_events():
+    env = Environment()
+    obs = Observability(env)
+    env.trace("ssd", "write", lba=5, dev="ssd0")
+    assert len(obs.events) == 1
+    event = obs.events[0]
+    assert isinstance(event, InstantEvent)
     assert event.category == "ssd"
-    assert dict(event.fields)["lba"] == 5
+    assert event.fields == (("dev", "ssd0"), ("lba", 5))
     assert "ssd" in str(event)
 
 
-def test_category_filter():
-    tracer = Tracer(categories={"rio.gate"})
-    tracer.emit(0.0, "ssd", "write")
-    tracer.emit(0.0, "rio.gate", "stall")
-    assert len(tracer.events) == 1
-    assert tracer.events[0].category == "rio.gate"
-
-
 def test_capacity_drops_overflow():
-    tracer = Tracer(capacity=2)
+    env = Environment()
+    obs = Observability(env, capacity=2)
     for i in range(5):
-        tracer.emit(0.0, "c", "e", i=i)
-    assert len(tracer.events) == 2
-    assert tracer.dropped == 3
-    assert "dropped" in tracer.render()
+        env.trace("c", "e", i=i)
+    assert len(obs.events) == 2
+    assert obs.dropped == 3
 
 
-def test_select_and_counts():
-    tracer = Tracer()
-    tracer.emit(0.0, "a", "x")
-    tracer.emit(0.0, "a", "y")
-    tracer.emit(0.0, "b", "x")
-    assert len(tracer.select(category="a")) == 2
-    assert len(tracer.select(event="x")) == 2
-    assert tracer.counts() == {"a.x": 1, "a.y": 1, "b.x": 1}
-
-
-def test_environment_without_tracer_is_silent():
+def test_environment_without_obs_is_silent():
     env = Environment()
     env.trace("anything", "happens")  # must not raise
 
 
 def test_end_to_end_rio_tracing():
     env = Environment()
-    env.tracer = Tracer()
+    obs = Observability(env)
     cluster = Cluster(env, target_ssds=((OPTANE_905P,),))
     rio = RioDevice(cluster, num_streams=1)
     core = cluster.initiator.cpus.pick(0)
@@ -67,10 +51,10 @@ def test_end_to_end_rio_tracing():
         yield env.all_of(events)
 
     env.run_until_event(env.process(proc(env)))
-    counts = env.tracer.counts()
-    assert counts.get("rio.sched.merge", 0) == 3  # 4 writes merged into 1
-    assert counts.get("rio.log.append", 0) == 1
-    assert counts.get("ssd.write", 0) == 1
-    assert counts.get("rio.seq.release", 0) == 4
-    # Render is human-readable.
-    assert "rio.log" in env.tracer.render()
+    counts = Counter(f"{e.category}.{e.event}" for e in obs.events)
+    assert counts["rio.sched.merge"] == 3  # 4 writes merged into 1
+    assert counts["rio.log.append"] == 1
+    assert counts["rio.seq.release"] == 4
+    ssd_writes = [span for span in obs.spans.by_name("ssd.service")
+                  if span.attrs["op"] == "write"]
+    assert len(ssd_writes) == 1
